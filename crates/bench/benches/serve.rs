@@ -1,9 +1,10 @@
-//! Serving-subsystem benchmarks: query-index build cost (the budget a
-//! `reload` pays off the hot path) and the three read paths the daemon
-//! serves, measured directly against the in-process index — the network
-//! and framing cost on top of these is what `bdrmap loadgen` reports.
+//! Serving-subsystem benchmarks: view-open cost (the verify, validate
+//! and assemble work a `reload` pays off the hot path) and the three
+//! read paths the daemon serves, measured directly against the
+//! [`V3View`] it serves from — the network and framing cost on top of
+//! these is what `bdrmap loadgen` reports.
 
-use bdrmap_core::{BdrmapConfig, QueryIndex};
+use bdrmap_core::{snapshot, BdrmapConfig, QueryRead, V3View};
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{queries_for_map, Request};
 use bdrmap_topo::TopoConfig;
@@ -15,12 +16,16 @@ use std::sync::Arc;
 fn bench(c: &mut Criterion) {
     let sc = Scenario::build("serve-bench", &TopoConfig::re_network(61));
     let map = sc.run_vp(0, &BdrmapConfig::default());
-    let index = QueryIndex::build(&map);
+    let bytes = snapshot::encode_v3(&map).unwrap();
+    let open = || V3View::open(bytes.clone(), std::iter::empty()).unwrap();
+    let index = open();
     let queries = queries_for_map(&map);
 
-    // ------------------------------------------------------ index build
-    c.bench_function("serve/index-build", |b| {
-        b.iter(|| black_box(QueryIndex::build(&map).num_routers()))
+    // ------------------------------------------------------- view open
+    // verify_integrity + validate_structure + overlay assembly, plus
+    // the copy of the bytes the view takes ownership of.
+    c.bench_function("serve/view-open", |b| {
+        b.iter(|| black_box(open().num_routers()))
     });
 
     // -------------------------------------------------------- hot paths
@@ -65,14 +70,14 @@ fn bench(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % neighbors.len();
-            black_box(index.links_of_neighbor(neighbors[i]).len())
+            black_box(index.neighbor_links(neighbors[i]).len())
         })
     });
 
     // ---------------------------------------------- snapshot access path
     // What every query pays to pin the current snapshot, isolated from
     // the query itself.
-    let cell = Arc::new(SwapCell::new(Arc::new(QueryIndex::build(&map))));
+    let cell = Arc::new(SwapCell::new(Arc::new(open())));
     let reader = SwapCell::reader(&cell);
     c.bench_function("serve/swapcell-load", |b| {
         b.iter(|| black_box(reader.load().num_routers()))

@@ -1,35 +1,45 @@
-//! Seeded structure-aware fuzzing of the BDRM snapshot codec and the
-//! bdrmapd wire protocol.
+//! Seeded structure-aware fuzzing of the BDRM v3 snapshot reader and
+//! the bdrmapd wire protocol.
 //!
 //! No external fuzzing engine: a splitmix64 generator (the same
 //! pattern as the dataplane fault layer) drives every draw, so a run
 //! is reproduced exactly by its seed — a CI failure is one `--fuzz-seed`
 //! away from a local repro.
 //!
-//! The fuzzer starts from *valid* artifacts (encoded border maps in
-//! the v1, v2, and v3 formats, encoded requests and responses) and
-//! applies structure-aware mutations: bit flips, byte overwrites,
-//! truncations, extensions, internal splices, and 32-bit boundary
-//! overwrites aimed at length/count fields. Two properties must hold
-//! for every mutant:
+//! The fuzzer starts from *valid* artifacts (border maps encoded as
+//! BDRM v3, encoded requests and responses) and applies
+//! structure-aware mutations: bit flips, byte overwrites, truncations,
+//! extensions, internal splices, and 32-bit boundary overwrites aimed
+//! at length/count fields. Half the snapshot mutants are then
+//! *re-sealed*: every section CRC and the footer are recomputed over
+//! the mutated bytes, so the mutant gets past the checksums into the
+//! structural pass and, when that accepts it, the query path bdrmapd
+//! serves from. Two properties must hold:
 //!
 //! 1. **No panic.** Decoding arbitrary bytes returns `Ok` or a typed
-//!    error; it never unwinds. (Checked under `catch_unwind`.)
-//! 2. **Canonical acceptance.** If a mutant *is* accepted, re-encoding
-//!    the decoded value must be a byte-level fixed point: `encode` of
-//!    the decode must itself decode, and re-encode to identical bytes.
-//!    Accepted-but-not-canonical inputs are how silent corruption
-//!    propagates through a snapshot store.
+//!    error; it never unwinds. Neither does any query against an
+//!    accepted snapshot: each one is opened as a [`V3View`] and asked
+//!    for owner, border, neighbor, router and link answers over the
+//!    corpus addresses plus misses. (Checked under `catch_unwind`.)
+//! 2. **Canonical acceptance.** If a mutant that was *not* re-sealed is
+//!    accepted, re-encoding the decoded map must reproduce its bytes
+//!    exactly. Accepted-but-not-canonical inputs are how silent
+//!    corruption propagates through a snapshot store. Re-sealed mutants
+//!    are exempt: a file whose checksums verify is trusted as written
+//!    (see [`bdrmap_core::flat`]), so only the no-panic property
+//!    applies to them.
 //!
 //! Raw frame reading ([`read_frame`]) gets its own hostile stream
 //! cases (lying length prefixes, truncated bodies) with the same
 //! no-panic requirement.
 
 use bdrmap_core::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
-use bdrmap_core::snapshot;
-use bdrmap_serve::{Request, Response};
+use bdrmap_core::{flat, snapshot, QueryRead, V3View};
+use bdrmap_serve::{answer, Request, Response};
+use bdrmap_types::integrity::crc32c;
 use bdrmap_types::wire::read_frame;
-use bdrmap_types::{addr, Asn};
+use bdrmap_types::{addr, Addr, Asn, Prefix};
+use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One splitmix64 step.
@@ -47,8 +57,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub struct FuzzReport {
     /// Total mutants exercised.
     pub iterations: u64,
-    /// Mutants aimed at the snapshot codec.
+    /// Mutants aimed at the snapshot reader.
     pub snapshot_cases: u64,
+    /// Snapshot mutants the reader accepted; each was then queried
+    /// through a [`V3View`].
+    pub snapshot_accepted: u64,
     /// Mutants aimed at the request/response codecs.
     pub wire_cases: u64,
     /// Hostile raw-frame streams fed to `read_frame`.
@@ -73,9 +86,10 @@ impl FuzzReport {
     /// Stable JSON for CI logs.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"fuzz\",\n  \"schema\": 1,\n  \"iterations\": {},\n  \"snapshot_cases\": {},\n  \"wire_cases\": {},\n  \"frame_cases\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \"panics\": {},\n  \"canonical_violations\": {}\n}}\n",
+            "{{\n  \"bench\": \"fuzz\",\n  \"schema\": 1,\n  \"iterations\": {},\n  \"snapshot_cases\": {},\n  \"snapshot_accepted\": {},\n  \"wire_cases\": {},\n  \"frame_cases\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \"panics\": {},\n  \"canonical_violations\": {}\n}}\n",
             self.iterations,
             self.snapshot_cases,
+            self.snapshot_accepted,
             self.wire_cases,
             self.frame_cases,
             self.accepted,
@@ -87,7 +101,7 @@ impl FuzzReport {
 }
 
 /// Hand-built border maps exercising every structural variant the
-/// codec has: empty, option-dense, multi-router, multi-link.
+/// format has: empty, option-dense, multi-router, multi-link.
 fn snapshot_corpus() -> Vec<BorderMap> {
     let r = |addrs: &[u32], owner: Option<u32>, h: Option<Heuristic>| InferredRouter {
         addrs: addrs.iter().map(|&a| addr(a)).collect(),
@@ -296,25 +310,120 @@ enum Outcome {
     NotCanonical,
 }
 
-/// Decode a snapshot mutant and enforce both fuzz properties.
-fn check_snapshot(bytes: &[u8]) -> Outcome {
-    let decoded = catch_unwind(AssertUnwindSafe(|| snapshot::decode(bytes)));
-    match decoded {
-        Err(_) => Outcome::Panicked,
-        Ok(Err(_)) => Outcome::Rejected,
-        Ok(Ok(map)) => {
-            // Canonical: re-encoding the accepted value *in the version
-            // the mutant claimed* is a byte-level fixed point. (decode
-            // succeeded, so the preamble — and its version — is there.)
-            let version = snapshot::version_of(bytes).expect("accepted mutant has a preamble");
-            let Ok(e1) = snapshot::encode_as(&map, version) else {
-                return Outcome::NotCanonical;
-            };
-            match snapshot::decode(&e1) {
-                Ok(map2) if snapshot::encode_as(&map2, version) == Ok(e1) => Outcome::Accepted,
-                _ => Outcome::NotCanonical,
-            }
+/// A corpus snapshot: its v3 bytes and where their sections sit.
+struct CorpusSnap {
+    bytes: Vec<u8>,
+    layout: flat::Layout,
+}
+
+/// Recompute every section CRC and the footer of a mutant of `lay`'s
+/// file, as a writer that seals whatever it wrote would. A mutant whose
+/// length changed has no layout to seal against and is left alone.
+fn reseal(bytes: &mut [u8], lay: &flat::Layout) -> bool {
+    if bytes.len() != lay.total {
+        return false;
+    }
+    // Each section body runs from its start up to the 4-byte CRC in
+    // front of the next one; the header starts after "BDRM" + u16
+    // version, and the trie's CRC sits in front of the footer.
+    let starts = [
+        6,
+        lay.routers,
+        lay.addrs,
+        lay.links,
+        lay.link_arena,
+        lay.neighbor_index,
+        lay.border_index,
+        lay.trie,
+        lay.total - 4,
+    ];
+    for w in starts.windows(2) {
+        let crc_at = w[1] - 4;
+        let crc = crc32c(&bytes[w[0]..crc_at]);
+        bytes[crc_at..w[1]].copy_from_slice(&crc.to_le_bytes());
+    }
+    let foot = lay.total - 4;
+    let crc = crc32c(&bytes[..foot]);
+    bytes[foot..].copy_from_slice(&crc.to_le_bytes());
+    true
+}
+
+/// What every accepted snapshot is asked: the corpus maps' addresses
+/// and neighbors, plus misses.
+struct Probes {
+    addrs: Vec<Addr>,
+    asns: Vec<Asn>,
+    /// Prefix-owner overlay the view is opened under, so the side-trie
+    /// merge is exercised too.
+    overlay: Vec<(Prefix, Asn)>,
+}
+
+fn probes(corpus: &[BorderMap]) -> Probes {
+    let mut addrs = vec![addr(0), addr(u32::MAX), addr(0xC633_6401)];
+    let mut asns = vec![Asn(0), Asn(u32::MAX)];
+    for map in corpus {
+        for r in &map.routers {
+            addrs.extend(r.addrs.iter().chain(&r.other_addrs));
         }
+        for l in &map.links {
+            addrs.extend(l.near_addr.into_iter().chain(l.far_addr));
+            asns.push(l.far_as);
+        }
+    }
+    Probes {
+        addrs,
+        asns,
+        overlay: vec![
+            (Prefix::new(addr(0x0A00_0000), 8), Asn(64999)),
+            (Prefix::new(addr(0x0A00_0001), 32), Asn(64998)),
+            (Prefix::new(addr(0xC000_0200), 24), Asn(64997)),
+        ],
+    }
+}
+
+/// Ask an accepted view everything bdrmapd could be asked, over the
+/// probe set and the view's own interfaces and ids, plus misses.
+fn query_everything(view: &V3View, p: &Probes) {
+    let mut addrs = p.addrs.clone();
+    for id in 0..view.num_routers() + 2 {
+        if let Some((_, ifaces)) = black_box(view.router_info(id)) {
+            addrs.extend(ifaces);
+        }
+    }
+    let asns = p.asns.iter().copied().chain(view.neighbor_list());
+    let requests = addrs
+        .iter()
+        .flat_map(|&a| [Request::Owner(a), Request::Border(a)])
+        .chain(asns.map(Request::Neighbor));
+    for req in requests {
+        black_box(answer(view, &req));
+    }
+    for id in 0..view.num_links() + 2 {
+        black_box((view.link_rec(id), view.link_answer(id)));
+    }
+    black_box((view.num_prefixes(), view.packets(), view.elapsed_ms()));
+}
+
+/// Open a snapshot mutant, query it if accepted, and enforce both fuzz
+/// properties.
+fn check_snapshot(bytes: &[u8], resealed: bool, p: &Probes) -> Outcome {
+    let opened = catch_unwind(AssertUnwindSafe(|| {
+        V3View::open(bytes.to_vec(), p.overlay.iter().copied()).map(|view| {
+            query_everything(&view, p);
+            view.to_border_map()
+        })
+    }));
+    let map = match opened {
+        Err(_) => return Outcome::Panicked,
+        Ok(Err(_)) => return Outcome::Rejected,
+        Ok(Ok(map)) => map,
+    };
+    // Canonical: an accepted mutant nobody re-sealed re-encodes to
+    // exactly its own bytes.
+    if resealed || snapshot::encode_v3(&map).as_deref() == Ok(bytes) {
+        Outcome::Accepted
+    } else {
+        Outcome::NotCanonical
     }
 }
 
@@ -369,14 +478,14 @@ fn check_frame(bytes: &[u8]) -> Outcome {
 /// Run `iters` seeded mutants across all three targets.
 pub fn run(seed: u64, iters: u64) -> FuzzReport {
     let mut rng = seed ^ 0xbd2_3a93;
-    let snaps: Vec<Vec<u8>> = snapshot_corpus()
+    let corpus = snapshot_corpus();
+    let probes = probes(&corpus);
+    let snaps: Vec<CorpusSnap> = corpus
         .iter()
-        .flat_map(|m| {
-            [
-                snapshot::encode(m).unwrap(),
-                snapshot::encode_v1(m).unwrap(),
-                snapshot::encode_v3(m).unwrap(),
-            ]
+        .map(|m| {
+            let bytes = snapshot::encode_v3(m).unwrap();
+            let layout = flat::verify_integrity(&bytes).unwrap();
+            CorpusSnap { bytes, layout }
         })
         .collect();
     let wires = wire_corpus();
@@ -384,12 +493,18 @@ pub fn run(seed: u64, iters: u64) -> FuzzReport {
     for _ in 0..iters {
         report.iterations += 1;
         let outcome = match splitmix64(&mut rng) % 5 {
-            // Snapshot codec gets the biggest share: it guards
+            // Snapshot reader gets the biggest share: it guards
             // persistence, where corruption is stickiest.
             0 | 1 => {
                 report.snapshot_cases += 1;
                 let base = &snaps[(splitmix64(&mut rng) as usize) % snaps.len()];
-                check_snapshot(&mutate(base, &mut rng))
+                let mut mutant = mutate(&base.bytes, &mut rng);
+                let resealed = splitmix64(&mut rng) & 1 == 0 && reseal(&mut mutant, &base.layout);
+                let outcome = check_snapshot(&mutant, resealed, &probes);
+                if matches!(outcome, Outcome::Accepted | Outcome::NotCanonical) {
+                    report.snapshot_accepted += 1;
+                }
+                outcome
             }
             2 | 3 => {
                 report.wire_cases += 1;
@@ -423,10 +538,6 @@ mod tests {
     #[test]
     fn corpus_is_valid_before_mutation() {
         for map in snapshot_corpus() {
-            let enc = snapshot::encode(&map).unwrap();
-            assert!(snapshot::decode(&enc).is_ok());
-            let v1 = snapshot::encode_v1(&map).unwrap();
-            assert!(snapshot::decode(&v1).is_ok());
             let v3 = snapshot::encode_v3(&map).unwrap();
             assert!(snapshot::decode(&v3).is_ok());
         }
@@ -449,6 +560,39 @@ mod tests {
         assert!(
             a.snapshot_cases > 0 && a.wire_cases > 0 && a.frame_cases > 0,
             "all targets exercised: {a:?}"
+        );
+    }
+
+    /// A re-sealed mutant passes the checksums, so what is left to
+    /// refuse it is the structural pass — and what it leaves is served.
+    #[test]
+    fn resealed_mutants_reach_validation_and_the_query_path() {
+        let corpus = snapshot_corpus();
+        let p = probes(&corpus);
+        let bytes = snapshot::encode_v3(&corpus[1]).unwrap();
+        let lay = flat::verify_integrity(&bytes).unwrap();
+        // Router 0's min_hop: free-form, so a sealed change is accepted
+        // and decodes to a different map.
+        let mut hop = bytes.clone();
+        hop[lay.routers + 6] ^= 1;
+        assert!(matches!(check_snapshot(&hop, false, &p), Outcome::Rejected));
+        assert!(reseal(&mut hop, &lay));
+        assert!(matches!(check_snapshot(&hop, true, &p), Outcome::Accepted));
+        assert_eq!(snapshot::decode(&hop).unwrap().routers[0].min_hop, 2);
+        // Router 0's pad byte must be zero: sealed or not, refused.
+        let mut pad = bytes.clone();
+        pad[lay.routers + 7] = 1;
+        assert!(reseal(&mut pad, &lay));
+        assert!(flat::verify_integrity(&pad).is_ok());
+        assert!(matches!(check_snapshot(&pad, true, &p), Outcome::Rejected));
+        // Length-changing mutants have nothing to seal against.
+        let mut short = bytes[..bytes.len() - 1].to_vec();
+        assert!(!reseal(&mut short, &lay));
+
+        let r = run(7, 2000);
+        assert!(
+            r.snapshot_accepted > 0,
+            "no mutant reached the query path: {r:?}"
         );
     }
 

@@ -60,19 +60,6 @@ fn bdrmap_config(args: &Args) -> Result<BdrmapConfig, ArgError> {
     })
 }
 
-/// Resolve `--snapshot-version`: which BDRM format run/watch/chaos
-/// write. Defaults to the newest (v3, the flat zero-copy layout).
-fn snapshot_version(args: &Args) -> Result<u16, ArgError> {
-    let v: u16 = args.get_parse("snapshot-version", bdrmap_core::snapshot::DEFAULT_VERSION)?;
-    if !(1..=bdrmap_core::snapshot::LATEST_VERSION).contains(&v) {
-        return Err(ArgError(format!(
-            "--snapshot-version {v} unsupported (have 1..={})",
-            bdrmap_core::snapshot::LATEST_VERSION
-        )));
-    }
-    Ok(v)
-}
-
 /// Resolve `--vp` against the scenario, rejecting out-of-range indices
 /// with an error instead of an index panic deep in the pipeline.
 fn vp_index(args: &Args, sc: &Scenario) -> Result<usize, ArgError> {
@@ -194,7 +181,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         v.owner_accuracy() * 100.0
     );
     if let Some(out) = args.get("map-out") {
-        bdrmap_core::snapshot::save_as(std::path::Path::new(out), &map, snapshot_version(args)?)
+        bdrmap_core::snapshot::save(std::path::Path::new(out), &map)
             .map_err(|e| ArgError(format!("writing {out}: {e}")))?;
         println!(
             "wrote border-map snapshot to {out} (serve it with `bdrmap serve --snapshot {out}`)"
@@ -202,8 +189,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     }
     if let Some(dir) = args.get("snap-dir") {
         let store = bdrmap_core::SnapStore::open(dir)
-            .map_err(|e| ArgError(format!("opening snapshot store {dir}: {e}")))?
-            .with_snapshot_version(snapshot_version(args)?);
+            .map_err(|e| ArgError(format!("opening snapshot store {dir}: {e}")))?;
         let generation = store
             .publish(&map)
             .map_err(|e| ArgError(format!("publishing into {dir}: {e}")))?;
@@ -762,20 +748,36 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         );
         server
     } else {
-        let (map, prefix_owners) = serve_map(args)?;
-        let cfg = ServeConfig {
-            prefix_owners,
-            ..serve_config(args, listen)?
-        };
+        let cfg = serve_config(args, listen)?;
         let workers = cfg.workers;
         let queue = cfg.queue;
         let backend = cfg.backend;
-        let server =
-            Server::start(&map, cfg).map_err(|e| ArgError(format!("starting bdrmapd: {e}")))?;
+        let server = match args.get("snapshot") {
+            // A saved snapshot is served as read: one verification, no
+            // decode. A bare snapshot carries no BGP view, so no prefix
+            // layer.
+            Some(path) => {
+                let bytes =
+                    std::fs::read(path).map_err(|e| ArgError(format!("reading {path}: {e}")))?;
+                Server::start_from_bytes(bytes, cfg)
+            }
+            None => {
+                let (map, prefix_owners) = serve_map(args)?;
+                Server::start(
+                    &map,
+                    ServeConfig {
+                        prefix_owners,
+                        ..cfg
+                    },
+                )
+            }
+        }
+        .map_err(|e| ArgError(format!("starting bdrmapd: {e}")))?;
+        let stats = server.stats();
         println!(
             "bdrmapd serving {} routers / {} links on {} ({backend} backend, {} workers, accept queue {})",
-            map.routers.len(),
-            map.links.len(),
+            stats.routers,
+            stats.links,
             server.local_addr(),
             workers,
             queue
@@ -1456,183 +1458,6 @@ pub fn bench_pipeline(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// A synthetic border map with `n` routers, two interfaces each, and a
-/// border link for every other router. Size scales linearly in `n`, so
-/// the reload benchmark can sweep map sizes without running the
-/// pipeline. Interfaces are spread over 1024 /12 blocks scattered
-/// across the address space (dense inside each block) — the shape of a
-/// real provider's interface numbering, not one contiguous run.
-/// Deterministic: the same `n` always yields the same bytes.
-fn synthetic_map(n: u32) -> bdrmap_core::BorderMap {
-    use bdrmap_core::{BorderMap, Heuristic, InferredLink, InferredRouter};
-    use bdrmap_types::addr;
-    // Router r's interface k: block = r mod 1024 (top 12 bits permuted
-    // by an odd multiplier, so blocks are bijective and scattered),
-    // offset dense per block. No two (r, k) pairs collide.
-    let iface = |r: u32, k: u32| {
-        let base = (r % 1024).wrapping_mul(0x9e37) & 0xfff;
-        addr((base << 20) | (2 * (r / 1024) + k))
-    };
-    let other = |r: u32| {
-        let base = (r % 1024).wrapping_mul(0x9e37) & 0xfff;
-        addr((base << 20) | (0x8_0000 + r / 1024))
-    };
-    let routers: Vec<InferredRouter> = (0..n)
-        .map(|i| InferredRouter {
-            addrs: vec![iface(i, 0), iface(i, 1)],
-            other_addrs: if i % 7 == 0 { vec![other(i)] } else { vec![] },
-            owner: Some(Asn(64500 + i % 16)),
-            heuristic: Some(Heuristic::MultihomedToVp),
-            min_hop: (i % 12) as u8 + 1,
-        })
-        .collect();
-    let links: Vec<InferredLink> = (0..n.saturating_sub(1))
-        .step_by(2)
-        .map(|i| InferredLink {
-            near: i as usize,
-            far: Some(i as usize + 1),
-            far_as: Asn(64500 + (i + 1) % 16),
-            near_addr: Some(iface(i, 0)),
-            far_addr: Some(iface(i + 1, 0)),
-            heuristic: Heuristic::MultihomedToVp,
-        })
-        .collect();
-    BorderMap {
-        routers,
-        links,
-        packets: u64::from(n) * 10,
-        elapsed_ms: u64::from(n),
-    }
-}
-
-/// `bdrmap bench-reload`: time a v2 reload (parse the snapshot into a
-/// [`bdrmap_core::BorderMap`], rebuild the heap [`QueryIndex`]) against
-/// a v3 reload (checksum the file, validate the flat index in place)
-/// over synthetic maps at `--sizes` router counts. Each phase is run
-/// `--iters` times and the minimum is reported — the same phase split
-/// bdrmapd's Reload RPC reports as `load_us`/`build_us`. Writes
-/// `--json` (default BENCH_reload.json) and asserts the contract the
-/// v3 layout exists to provide: at the largest size, the v3 build
-/// phase is at least 10x cheaper than the v2 one.
-pub fn bench_reload(args: &Args) -> Result<(), ArgError> {
-    use bdrmap_core::{flat, snapshot, QueryIndex};
-    let out = args.get("json").unwrap_or("BENCH_reload.json");
-    let iters: u32 = args.get_parse("iters", 5)?;
-    if iters == 0 {
-        return Err(ArgError("--iters must be at least 1".into()));
-    }
-    let sizes: Vec<u32> = match args.get("sizes") {
-        Some(s) => s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|e| ArgError(format!("bad --sizes entry {t:?}: {e}")))
-            })
-            .collect::<Result<_, _>>()?,
-        None => vec![1_000, 10_000, 50_000],
-    };
-    if sizes.is_empty() {
-        return Err(ArgError("--sizes must name at least one size".into()));
-    }
-
-    // min-of-iters for each phase: reloads are short, so the minimum
-    // is the steady-state cost with scheduler noise stripped.
-    fn min_us<T>(iters: u32, mut f: impl FnMut() -> T) -> (T, u64) {
-        let mut best_us = u64::MAX;
-        let mut last = None;
-        for _ in 0..iters {
-            let t = std::time::Instant::now();
-            let v = f();
-            best_us = best_us.min(t.elapsed().as_micros() as u64);
-            last = Some(v);
-        }
-        (last.unwrap(), best_us)
-    }
-
-    let mut rows = Vec::new();
-    let mut printed = Vec::new();
-    for &n in &sizes {
-        let map = synthetic_map(n);
-        let v2 = snapshot::encode(&map).map_err(|e| ArgError(format!("encoding v2: {e}")))?;
-        let v3 = snapshot::encode_v3(&map).map_err(|e| ArgError(format!("encoding v3: {e}")))?;
-
-        // v2 reload: parse the whole file into a BorderMap (load), then
-        // rebuild the heap QueryIndex from it (build).
-        let (v2_map, v2_load_us) = min_us(iters, || snapshot::decode(&v2).unwrap());
-        let (v2_idx, v2_build_us) = min_us(iters, || QueryIndex::build(&v2_map));
-
-        // v3 reload: checksum every section and validate the flat index
-        // in place (load — the v3 analogue of v2's parse), then stand
-        // up the view over the trusted bytes (build). The clone feeding
-        // each build iteration stays outside the timer: the server
-        // moves the loaded bytes into the view, it never copies.
-        let ((layout, proof), v3_load_us) = min_us(iters, || {
-            let layout = flat::verify_integrity(&v3).unwrap();
-            let proof = flat::validate_structure(&v3, &layout).unwrap();
-            (layout, proof)
-        });
-        let mut v3_build_us = u64::MAX;
-        let mut view = None;
-        for _ in 0..iters {
-            let data = v3.clone();
-            let t = std::time::Instant::now();
-            let v = flat::V3View::from_validated(data, layout, proof, std::iter::empty());
-            v3_build_us = v3_build_us.min(t.elapsed().as_micros() as u64);
-            view = Some(v);
-        }
-        let view = view.unwrap();
-        // The benched view answers like the benched heap index.
-        if view.num_routers() != v2_idx.num_routers() || view.num_links() != v2_idx.num_links() {
-            return Err(ArgError(format!(
-                "size {n}: v3 view disagrees with the v2 index it is benchmarked against"
-            )));
-        }
-
-        rows.push(format!(
-            "    {{\"routers\": {n}, \"links\": {links}, \
-             \"v2_bytes\": {v2b}, \"v3_bytes\": {v3b}, \
-             \"v2_load_us\": {v2l}, \"v2_build_us\": {v2bu}, \
-             \"v3_load_us\": {v3l}, \"v3_build_us\": {v3bu}}}",
-            links = map.links.len(),
-            v2b = v2.len(),
-            v3b = v3.len(),
-            v2l = v2_load_us,
-            v2bu = v2_build_us,
-            v3l = v3_load_us,
-            v3bu = v3_build_us,
-        ));
-        printed.push((n, v2_load_us, v2_build_us, v3_load_us, v3_build_us));
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"bdrmap-bench-reload-v1\",\n  \"iters\": {iters},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    bdrmap_types::fsutil::write_atomic(std::path::Path::new(out), json.as_bytes())
-        .map_err(|e| ArgError(format!("writing {out}: {e}")))?;
-    for (n, v2l, v2b, v3l, v3b) in &printed {
-        println!(
-            "{n:>7} routers: v2 load {v2l:>7} us + build {v2b:>7} us | \
-             v3 load {v3l:>7} us + build {v3b:>5} us ({:.0}x cheaper build)",
-            *v2b as f64 / (*v3b).max(1) as f64
-        );
-    }
-    println!("wrote {out}");
-
-    // The headline contract, pinned at the largest benched size: a v3
-    // swap re-validates in place instead of rebuilding, so its build
-    // phase must be at least 10x cheaper than the heap rebuild.
-    let &(n, _, v2_build_us, _, v3_build_us) = printed.last().unwrap();
-    if v2_build_us < 10 * v3_build_us.max(1) {
-        return Err(ArgError(format!(
-            "at {n} routers the v3 build phase ({v3_build_us} us) is not 10x \
-             cheaper than the v2 rebuild ({v2_build_us} us)"
-        )));
-    }
-    Ok(())
-}
-
 /// `bdrmap watch`: the incremental-inference driver.
 ///
 /// Streams the VP's target blocks through a live
@@ -1740,13 +1565,11 @@ pub fn watch(args: &Args) -> Result<(), ArgError> {
         journal = Some(j);
     }
 
-    let snap_version = snapshot_version(args)?;
     let store = match args.get("snap-dir") {
         Some(dir) => Some((
             dir,
             SnapStore::open(dir)
-                .map_err(|e| ArgError(format!("opening snapshot store {dir}: {e}")))?
-                .with_snapshot_version(snap_version),
+                .map_err(|e| ArgError(format!("opening snapshot store {dir}: {e}")))?,
         )),
         None => None,
     };
@@ -1800,7 +1623,7 @@ pub fn watch(args: &Args) -> Result<(), ArgError> {
             None => None,
         };
         let (map, report) = engine.apply(&prober, &sc.input, batch);
-        let bytes = snapshot::encode_as(&map, snap_version)
+        let bytes = snapshot::encode_v3(&map)
             .map_err(|e| ArgError(format!("encoding pass {}: {e}", report.pass)))?;
 
         let (full_ms, identical) = if no_shadow {
@@ -1814,7 +1637,7 @@ pub fn watch(args: &Args) -> Result<(), ArgError> {
                 engine.shadow_collection(),
             );
             let full_ms = t.elapsed().as_secs_f64() * 1e3;
-            let shadow_bytes = snapshot::encode_as(&shadow.map, snap_version)
+            let shadow_bytes = snapshot::encode_v3(&shadow.map)
                 .map_err(|e| ArgError(format!("encoding shadow pass {}: {e}", report.pass)))?;
             if shadow_bytes != bytes {
                 return Err(ArgError(format!(
@@ -2117,9 +1940,8 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     // Inference on a pristine scenario, exactly as `bdrmap infer` does.
     let sci = Scenario::build(&preset_name, &cfg);
     let map = bdrmap_core::run_bdrmap_on_traces(&sci.engine(vp), &sci.input, &bcfg, coll0);
-    let snap_version = snapshot_version(args)?;
-    let baseline_bytes = snapshot::encode_as(&map, snap_version)
-        .map_err(|e| ArgError(format!("encoding baseline: {e}")))?;
+    let baseline_bytes =
+        snapshot::encode_v3(&map).map_err(|e| ArgError(format!("encoding baseline: {e}")))?;
     println!(
         "  {baseline_traces} traces; {} routers / {} links; snapshot {} bytes",
         map.routers.len(),
@@ -2244,8 +2066,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     let snapdir = dir.join("snapstore");
     let registry = bdrmap_obs::Registry::new();
     let store_clean = SnapStore::open_with(&snapdir, Vfs::real(), registry.clone())
-        .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?
-        .with_snapshot_version(snap_version);
+        .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?;
     let fs_pub = ChaosVfs::new(ChaosFsConfig {
         seed: fault_seed ^ 0x5055_424c, // "PUBL"
         // Every publish with remaining budget faults, so the schedule
@@ -2261,8 +2082,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
         },
     });
     let store_chaos = SnapStore::open_with(&snapdir, fs_pub.vfs(), registry.clone())
-        .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?
-        .with_snapshot_version(snap_version);
+        .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?;
     let mut last_gen = store_clean
         .publish(&map)
         .map_err(|e| ArgError(format!("base publish failed: {e}")))?;
@@ -2288,9 +2108,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
                         if out.rolled_back() {
                             rollbacks += 1;
                         }
-                        if snapshot::encode_as(&out.map, snap_version).as_deref()
-                            != Ok(baseline_bytes.as_slice())
-                        {
+                        if out.bytes != baseline_bytes {
                             violations.push(format!(
                                 "publish round {round}: store served a non-baseline map after the failure"
                             ));
@@ -2506,12 +2324,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     server.shutdown();
     // The store, read fresh off disk, still serves the baseline.
     let converged = match store_clean.load_verified() {
-        Ok(out) => {
-            out.generation == last_gen
-                && snapshot::encode_as(&out.map, snap_version).as_deref()
-                    == Ok(baseline_bytes.as_slice())
-                && !out.rolled_back()
-        }
+        Ok(out) => out.generation == last_gen && out.bytes == baseline_bytes && !out.rolled_back(),
         Err(_) => false,
     };
     if !converged {
@@ -2634,7 +2447,6 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
     let preset_name = args.get("preset").unwrap_or("tiny").to_string();
     let cfg = preset(args)?;
     let bcfg = bdrmap_config(args)?;
-    let snap_version = snapshot_version(args)?;
     let dir = match args.get("dir") {
         Some(d) => std::path::PathBuf::from(d),
         None => std::env::temp_dir().join(format!("bdrmap-crash-{seed}-{fault_seed}")),
@@ -2696,8 +2508,7 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
         for b in &plan {
             let (m, rep) = base.apply(&prober, &sc.input, b.clone());
             expected.push(
-                snapshot::encode_as(&m, snap_version)
-                    .map_err(|e| ArgError(format!("encoding baseline: {e}")))?,
+                snapshot::encode_v3(&m).map_err(|e| ArgError(format!("encoding baseline: {e}")))?,
             );
             expected_counts.push(rep.traces);
         }
@@ -2803,7 +2614,7 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
                 &bcfg,
                 engine.shadow_collection(),
             );
-            let final_bytes = snapshot::encode_as(&shadow.map, snap_version)
+            let final_bytes = snapshot::encode_v3(&shadow.map)
                 .map_err(|e| ArgError(format!("encoding final map: {e}")))?;
             if &final_bytes != expected.last().unwrap() {
                 violations.push(
@@ -2811,8 +2622,7 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
                 );
             }
             let store = SnapStore::open_with(&snapdir, Vfs::real(), registry.clone())
-                .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?
-                .with_snapshot_version(snap_version);
+                .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?;
             let g = store
                 .publish(&shadow.map)
                 .map_err(|e| ArgError(format!("final publish failed: {e}")))?;
@@ -2826,8 +2636,7 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
             break 'respawn;
         }
         let store = SnapStore::open_with(&snapdir, Vfs::real(), registry.clone())
-            .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?
-            .with_snapshot_version(snap_version);
+            .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?;
 
         while next_pass < npasses {
             let p = next_pass;
@@ -2890,7 +2699,7 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
                         .map_err(|e| ArgError(format!("pass {}: append failed: {e}", p + 1)))?;
                     acked = p + 1;
                     let (map, _report) = engine.apply(&prober, &sc.input, batch);
-                    let bytes = snapshot::encode_as(&map, snap_version)
+                    let bytes = snapshot::encode_v3(&map)
                         .map_err(|e| ArgError(format!("encoding pass {}: {e}", p + 1)))?;
                     if bytes != expected[p] {
                         violations.push(format!(
@@ -2919,8 +2728,9 @@ fn crash_watch(args: &Args) -> Result<(), ArgError> {
                             });
                             let cstore =
                                 SnapStore::open_with(&snapdir, fsp.vfs(), registry.clone())
-                                    .map_err(|e| ArgError(format!("opening snapshot store: {e}")))?
-                                    .with_snapshot_version(snap_version);
+                                    .map_err(|e| {
+                                        ArgError(format!("opening snapshot store: {e}"))
+                                    })?;
                             if cstore.publish(&map).is_ok() {
                                 violations.push(format!(
                                     "pass {}: publish under a scheduled fault succeeded",

@@ -59,8 +59,6 @@ const VALUE_KEYS: &[&str] = &[
     "journal-dir",
     "expire-after",
     "compact-every",
-    "snapshot-version",
-    "sizes",
 ];
 const FLAGS: &[&str] = &[
     "full",
@@ -108,8 +106,6 @@ COMMANDS:
                 pass re-infers only the dirty region, shadow-checks against
                 a from-scratch rebuild, and can publish + hot-swap bdrmapd
     bench-pipeline  time every pipeline stage, write BENCH_pipeline.json
-    bench-reload    time v2 parse-and-rebuild vs v3 open-and-validate
-                    reloads at several map sizes, write BENCH_reload.json
 
 OPTIONS:
     --preset <tiny|re|large-access|tier1|small-access>   topology preset
@@ -134,10 +130,8 @@ FAULT INJECTION (run / probe / degradation):
     --resume             `probe`: resume from <out>.ckpt if present
 
 SERVING (serve / query / loadgen):
-    --map-out <path>     `run`: also save the border map as a snapshot file
-    --snapshot-version <1|2|3>  run/watch/chaos: snapshot format written
-                         (default 3, the flat zero-copy layout; 2 is the
-                         legacy parse-and-rebuild encoding)
+    --map-out <path>     `run`: also save the border map as a BDRM v3
+                         snapshot file
     --snap-dir <dir>     `run`: publish the map into a crash-safe snapshot
                          store; `serve`: boot from the store's newest
                          verified-good generation (rolls back past corrupt
@@ -248,7 +242,6 @@ fn main() {
         "chaos" => commands::chaos(&args),
         "watch" => commands::watch(&args),
         "bench-pipeline" => commands::bench_pipeline(&args),
-        "bench-reload" => commands::bench_reload(&args),
         other => {
             eprintln!("error: unknown command: {other}\n\n{}", usage());
             std::process::exit(2);

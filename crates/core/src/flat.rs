@@ -1,17 +1,16 @@
-//! BDRM v3: the flat snapshot layout that *is* the query index.
+//! BDRM v3: the snapshot format, a flat layout that *is* the query
+//! index.
 //!
-//! v1/v2 snapshots are parse-and-rebuild formats: the reader decodes
-//! heap `Vec`s and then pays a full [`QueryIndex`] build — trie, arenas,
-//! and sorted side-tables reconstructed from scratch on every reload.
-//! v3 serializes those derived structures directly as fixed-width,
-//! little-endian records, so loading is open + read + validate and a
-//! [`V3View`] answers queries straight from the file bytes.
+//! The file serializes the derived structures a [`QueryIndex`] build
+//! produces — arenas, sorted side-tables and the LPM trie — directly as
+//! fixed-width, little-endian records, so loading is read + verify +
+//! validate and a [`V3View`] answers queries straight from the file
+//! bytes, with nothing parsed or rebuilt.
 //!
-//! Layout (after the shared `"BDRM"` magic + big-endian `u16` version
-//! used by every snapshot version for dispatch, the body is entirely
-//! little-endian; every section is followed by the little-endian CRC32C
-//! of its body, and the file closes with a footer CRC32C over all
-//! preceding bytes):
+//! Layout (after the `"BDRM"` magic + big-endian `u16` version
+//! preamble, the body is entirely little-endian; every section is
+//! followed by the little-endian CRC32C of its body, and the file
+//! closes with a footer CRC32C over all preceding bytes):
 //!
 //! ```text
 //! header         := u64 packets | u64 elapsed_ms | u32 n_routers |
@@ -37,8 +36,16 @@
 //!
 //! Section offsets are fully determined by the header counts (every
 //! record is fixed width), so the encoding is canonical: a given
-//! [`BorderMap`] has exactly one valid v3 byte string, and
-//! `encode_v3(decode(bytes)) == bytes` holds for every accepted file.
+//! [`BorderMap`] has exactly one v3 byte string, and
+//! `encode_v3(decode(bytes)) == bytes` holds for every file
+//! [`encode_v3`] wrote. It does not hold for every *accepted* file: a
+//! file whose checksums verify is trusted as written, because a writer
+//! able to seal CRCs could have encoded any map, and the structural
+//! pass checks what the read path relies on, not that the tables are
+//! the ones the builder would derive. (A re-sealed trie entry can name
+//! a different owned router than the router table lists for that
+//! address, or a border entry a higher link id than the lowest.) What
+//! holds for every accepted file is that no query panics.
 //!
 //! The trie section stores only the router-derived `/32` entries; the
 //! serving layer's configured prefix-owner overlay stays out of the
@@ -54,7 +61,7 @@
 //! beyond plain slice indexing.
 
 use crate::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
-use crate::query::{BorderAnswer, LinkRec, OwnerAnswer, RouterRec, TrieEntry};
+use crate::query::{BorderAnswer, LinkRec, OwnerAnswer, QueryRead, RouterRec, TrieEntry};
 use crate::snapshot::SnapshotError;
 use crate::QueryIndex;
 use bdrmap_types::integrity::crc32c;
@@ -62,7 +69,7 @@ use bdrmap_types::{addr, addr_bits, Addr, Asn, Prefix, PrefixTrie};
 
 /// Snapshot format version this module implements.
 pub const VERSION: u16 = 3;
-/// Heuristic byte meaning "no heuristic recorded" (shared with v1/v2).
+/// Heuristic byte meaning "no heuristic recorded".
 const NO_HEURISTIC: u8 = 255;
 /// "No index" sentinel for trie children and values.
 const NONE: u32 = u32::MAX;
@@ -202,9 +209,8 @@ fn section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Serialize a border map to the canonical v3 flat encoding. The
-/// derived tables are built through the same [`QueryIndex`] builder the
-/// heap read path uses, so a v3 file is byte-for-byte the structure a
-/// from-scratch build would produce.
+/// derived tables come from the [`QueryIndex`] builder, so a v3 file is
+/// byte-for-byte the structure a from-scratch heap build would produce.
 pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
     let idx = QueryIndex::build(map);
     // The flat table keeps no dead rows: where an interface fronts
@@ -309,10 +315,10 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
 }
 
 /// Stage one of opening a v3 file: magic, version, exact length, and
-/// every checksum — the codec-level integrity the v1/v2 `decode` paths
-/// perform. Returns the derived [`Layout`] on success. Structural
-/// validation (the index-level trust pass) is stage two, in
-/// [`V3View::from_verified`].
+/// every checksum. Any version but [`VERSION`] — the retired v1/v2
+/// encodings included — is [`SnapshotError::BadVersion`]. Returns the
+/// derived [`Layout`] on success. Structural validation (the
+/// index-level trust pass) is stage two, [`validate_structure`].
 pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
     if data.len() < 4 || &data[..4] != b"BDRM" {
         return Err(SnapshotError::BadMagic);
@@ -388,10 +394,9 @@ pub struct Validated {
 /// Stage two of loading: the structural validation pass over bytes
 /// whose checksums already passed [`verify_integrity`] — one linear
 /// scan, no allocation proportional to the map. Together those two
-/// stages are the v3 analogue of a v1/v2 `decode`: everything a reader
-/// must check before trusting the bytes, charged to the *load* phase
-/// of a reload. What is left for the build phase
-/// ([`V3View::from_validated`]) is only overlay assembly.
+/// stages are everything a reader must check before trusting the
+/// bytes, charged to the *load* phase of a reload. What is left for the
+/// build phase ([`V3View::from_validated`]) is only overlay assembly.
 pub fn validate_structure(data: &[u8], lay: &Layout) -> Result<Validated, SnapshotError> {
     let d = data;
     let bad = Err(SnapshotError::Malformed);
@@ -584,26 +589,16 @@ impl V3View {
         prefixes: impl IntoIterator<Item = (Prefix, Asn)>,
     ) -> Result<V3View, SnapshotError> {
         let lay = verify_integrity(&data)?;
-        V3View::from_verified(data, lay, prefixes)
-    }
-
-    /// [`validate_structure`] + [`V3View::from_validated`] in one call,
-    /// for callers that do not split a reload into timed phases.
-    pub fn from_verified(
-        data: Vec<u8>,
-        lay: Layout,
-        prefixes: impl IntoIterator<Item = (Prefix, Asn)>,
-    ) -> Result<V3View, SnapshotError> {
         let ok = validate_structure(&data, &lay)?;
         Ok(V3View::from_validated(data, lay, ok, prefixes))
     }
 
     /// Assemble a view over bytes that already passed both
     /// [`verify_integrity`] and [`validate_structure`]. This is the
-    /// whole *build* cost of a v3 reload — insert the configured
-    /// overlay prefixes into a small side trie and count the `/32`s the
-    /// file trie shadows — so it is near-zero and independent of map
-    /// size, which is the point of the flat layout.
+    /// whole *build* cost of a reload — insert the configured overlay
+    /// prefixes into a small side trie and count the `/32`s the file
+    /// trie shadows — so it is near-zero and independent of map size,
+    /// which is the point of the flat layout.
     pub fn from_validated(
         data: Vec<u8>,
         lay: Layout,
@@ -676,23 +671,6 @@ impl V3View {
         })
     }
 
-    fn link_rec(&self, id: u32) -> Option<LinkRec> {
-        if id as usize >= self.lay.n_links {
-            return None;
-        }
-        let at = self.lay.links + id as usize * LINK_BYTES;
-        let d = &self.data;
-        let flags = d[at + 20];
-        Some(LinkRec {
-            near: u32_at(d, at),
-            far: (flags & 1 != 0).then(|| u32_at(d, at + 4)),
-            far_as: Asn(u32_at(d, at + 8)),
-            near_addr: (flags & 2 != 0).then(|| addr(u32_at(d, at + 12))),
-            far_addr: (flags & 4 != 0).then(|| addr(u32_at(d, at + 16))),
-            heuristic: Heuristic::from_code(d[at + 21]).expect("validated at open"),
-        })
-    }
-
     fn border_answer(&self, link: u32) -> Option<BorderAnswer> {
         let l = self.link_rec(link)?;
         Some(BorderAnswer {
@@ -705,10 +683,10 @@ impl V3View {
             heuristic: l.heuristic,
         })
     }
+}
 
-    /// Longest-prefix-match owner of `a`; see
-    /// [`QueryIndex::owner_of`](crate::QueryIndex::owner_of).
-    pub fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
+impl QueryRead for V3View {
+    fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
         let bits = addr_bits(a);
         let mut node = 0usize;
         let mut best: Option<(u8, u32)> = self.trie_router(0).map(|r| (0, r));
@@ -748,9 +726,7 @@ impl V3View {
         }
     }
 
-    /// The border link carrying interface address `a`; see
-    /// [`QueryIndex::border_of`](crate::QueryIndex::border_of).
-    pub fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
+    fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
         let key = addr_bits(a);
         let (mut lo, mut hi) = (0usize, self.lay.n_border);
         while lo < hi {
@@ -772,8 +748,7 @@ impl V3View {
         ))
     }
 
-    /// Ids of every link to neighbor `asn` (empty if none).
-    pub fn links_of_neighbor(&self, asn: Asn) -> Vec<u32> {
+    fn neighbor_links(&self, asn: Asn) -> Vec<u32> {
         let (mut lo, mut hi) = (0usize, self.lay.n_neighbors);
         while lo < hi {
             let mid = (lo + hi) / 2;
@@ -799,22 +774,28 @@ impl V3View {
             .collect()
     }
 
-    /// The link row for `id`.
-    pub fn link(&self, id: u32) -> Option<LinkRec> {
-        self.link_rec(id)
+    fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
+        self.border_answer(id)
     }
 
-    /// The border-link answer for link `id`.
-    pub fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        if (id as usize) < self.lay.n_links {
-            self.border_answer(id)
-        } else {
-            None
+    fn link_rec(&self, id: u32) -> Option<LinkRec> {
+        if id as usize >= self.lay.n_links {
+            return None;
         }
+        let at = self.lay.links + id as usize * LINK_BYTES;
+        let d = &self.data;
+        let flags = d[at + 20];
+        Some(LinkRec {
+            near: u32_at(d, at),
+            far: (flags & 1 != 0).then(|| u32_at(d, at + 4)),
+            far_as: Asn(u32_at(d, at + 8)),
+            near_addr: (flags & 2 != 0).then(|| addr(u32_at(d, at + 12))),
+            far_addr: (flags & 4 != 0).then(|| addr(u32_at(d, at + 16))),
+            heuristic: Heuristic::from_code(d[at + 21]).expect("validated at open"),
+        })
     }
 
-    /// The router row and its interface addresses.
-    pub fn router(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
+    fn router_info(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
         let rec = self.router_rec(id)?;
         let addrs = (rec.addr_start..rec.addr_end)
             .map(|i| addr(u32_at(&self.data, self.lay.addrs + i as usize * 4)))
@@ -822,29 +803,25 @@ impl V3View {
         Some((rec, addrs))
     }
 
-    /// Number of routers.
-    pub fn num_routers(&self) -> u32 {
+    fn num_routers(&self) -> u32 {
         self.lay.n_routers as u32
     }
 
-    /// Number of links.
-    pub fn num_links(&self) -> u32 {
+    fn num_links(&self) -> u32 {
         self.lay.n_links as u32
     }
 
-    /// Number of merged trie entries (file `/32`s plus overlay prefixes,
-    /// counting a shadowed pair once) — matches the heap build's figure.
-    pub fn num_prefixes(&self) -> u32 {
+    /// Merged trie entries (file `/32`s plus overlay prefixes, counting
+    /// a shadowed pair once) — the heap build's figure.
+    fn num_prefixes(&self) -> u32 {
         self.trie_values + self.side.len() as u32 - self.shadowed
     }
 
-    /// Number of coarse prefix-owner entries layered under the routers.
-    pub fn num_prefix_owners(&self) -> u32 {
+    fn num_prefix_owners(&self) -> u32 {
         self.side.len() as u32
     }
 
-    /// Neighbor ASes with at least one link, ascending.
-    pub fn neighbors(&self) -> Vec<Asn> {
+    fn neighbor_list(&self) -> Vec<Asn> {
         (0..self.lay.n_neighbors)
             .map(|i| {
                 Asn(u32_at(
@@ -854,7 +831,9 @@ impl V3View {
             })
             .collect()
     }
+}
 
+impl V3View {
     /// Probe traffic recorded in the snapshot's meta section.
     pub fn packets(&self) -> u64 {
         self.packets
@@ -870,8 +849,9 @@ impl V3View {
         &self.data
     }
 
-    /// Reconstruct the [`BorderMap`] the file was encoded from. Lossless:
-    /// re-encoding the result reproduces the file byte for byte.
+    /// Reconstruct the [`BorderMap`] the file was encoded from. Lossless
+    /// for files [`encode_v3`] wrote: re-encoding the result reproduces
+    /// the file byte for byte.
     pub fn to_border_map(&self) -> BorderMap {
         let d = &self.data;
         let routers = (0..self.lay.n_routers)
@@ -913,11 +893,4 @@ impl V3View {
             elapsed_ms: self.elapsed_ms,
         }
     }
-}
-
-/// Decode a v3 file into a [`BorderMap`]: full integrity + structural
-/// validation, then reconstruction. The `snapshot::decode` dispatch for
-/// version 3.
-pub(crate) fn decode_v3(data: &[u8]) -> Result<BorderMap, SnapshotError> {
-    Ok(V3View::open(data.to_vec(), std::iter::empty())?.to_border_map())
 }

@@ -52,7 +52,7 @@ pub use journal::{Journal, JournalCheckpoint, JournalConfig, JournalError, Journ
 pub use merge::{merge_maps, MergedMap, Merger};
 pub use output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 pub use pipeline::{run_stages, PipelineRun, StageReport};
-pub use query::{AnyIndex, BorderAnswer, LinkRec, OwnerAnswer, QueryIndex, QueryRead, RouterRec};
+pub use query::{BorderAnswer, LinkRec, OwnerAnswer, QueryIndex, QueryRead, RouterRec};
 pub use snapstore::{LoadOutcome, Quarantined, SnapStore, StoreError};
 
 use bdrmap_probe::{run_traces, Prober, RunOptions, TraceCollection};

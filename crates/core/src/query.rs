@@ -1,16 +1,19 @@
-//! Read-path query index over a finished inference.
+//! The query model over a finished inference, and its heap builder.
 //!
-//! [`QueryIndex`] turns a [`BorderMap`] into the immutable structure a
-//! serving daemon answers from: flat, arena-backed router and link
-//! tables (indices instead of pointers, one allocation per table) under
-//! a longest-prefix-match trie over the owned address space. Router
+//! [`QueryIndex`] turns a [`BorderMap`] into the tables a border map is
+//! queried through: flat, arena-backed router and link tables (indices
+//! instead of pointers, one allocation per table) under a
+//! longest-prefix-match trie over the owned address space. Router
 //! interfaces enter the trie as `/32` host entries; coarser prefix
 //! ownership (e.g. the BGP collector view's routed prefixes) can be
 //! layered underneath so any address in routed space resolves, with the
 //! observed routers winning as the most-specific match.
 //!
-//! The index is built once and never mutated — hot reload replaces the
-//! whole index behind a [`bdrmap_types::SwapCell`].
+//! bdrmapd does not serve from this heap index: it serves the zero-copy
+//! [`V3View`](crate::flat::V3View) over snapshot bytes. `QueryIndex`
+//! has two jobs. It builds the tables [`encode_v3`](crate::flat::encode_v3)
+//! lays out, and it is the reference the compat suites compare the view
+//! against through [`QueryRead`].
 
 use crate::output::{BorderMap, Heuristic};
 use bdrmap_types::{Addr, Asn, Prefix, PrefixTrie};
@@ -203,40 +206,6 @@ impl QueryIndex {
         }
     }
 
-    /// Longest-prefix-match owner of `a`: the observed router holding
-    /// the address if there is one, else the routed prefix's origin.
-    pub fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        let (prefix, entry) = self.trie.lookup(a)?;
-        match *entry {
-            // Only owned routers enter the trie; an index that violates
-            // that answers a miss instead of panicking the read path —
-            // untrusted (file-backed) indexes reject such entries at
-            // open, so this is pure defense in depth.
-            TrieEntry::Router(r) => Some(OwnerAnswer {
-                asn: self.routers.get(r as usize)?.owner?,
-                prefix,
-                router: Some(r),
-            }),
-            TrieEntry::Owner(asn) => Some(OwnerAnswer {
-                asn,
-                prefix,
-                router: None,
-            }),
-        }
-    }
-
-    /// The border link carrying interface address `a` (either side),
-    /// with its near-side border router. The lowest link id wins when
-    /// one interface fronts several inferred links.
-    pub fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        let at = self.border_index.partition_point(|&(b, _)| b < a);
-        let &(found, link) = self.border_index.get(at)?;
-        if found != a {
-            return None;
-        }
-        Some(self.border_answer(link))
-    }
-
     fn border_answer(&self, link: u32) -> BorderAnswer {
         let l = &self.links[link as usize];
         BorderAnswer {
@@ -249,84 +218,24 @@ impl QueryIndex {
             heuristic: l.heuristic,
         }
     }
-
-    /// Ids of every link to neighbor `asn` (empty if none).
-    pub fn links_of_neighbor(&self, asn: Asn) -> &[u32] {
-        match self
-            .neighbor_index
-            .binary_search_by_key(&asn, |&(a, _, _)| a)
-        {
-            Ok(i) => {
-                let (_, start, end) = self.neighbor_index[i];
-                &self.link_arena[start as usize..end as usize]
-            }
-            Err(_) => &[],
-        }
-    }
-
-    /// The link row for `id`.
-    pub fn link(&self, id: u32) -> Option<&LinkRec> {
-        self.links.get(id as usize)
-    }
-
-    /// The border-link answer for link `id`.
-    pub fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        if (id as usize) < self.links.len() {
-            Some(self.border_answer(id))
-        } else {
-            None
-        }
-    }
-
-    /// The router row and its interface addresses.
-    pub fn router(&self, id: u32) -> Option<(&RouterRec, &[Addr])> {
-        let r = self.routers.get(id as usize)?;
-        Some((
-            r,
-            &self.addr_arena[r.addr_start as usize..r.addr_end as usize],
-        ))
-    }
-
-    /// Number of routers.
-    pub fn num_routers(&self) -> u32 {
-        self.routers.len() as u32
-    }
-
-    /// Number of links.
-    pub fn num_links(&self) -> u32 {
-        self.links.len() as u32
-    }
-
-    /// Number of trie entries (router `/32`s plus prefix owners).
-    pub fn num_prefixes(&self) -> u32 {
-        self.trie.len() as u32
-    }
-
-    /// Number of coarse prefix-owner entries layered under the routers.
-    pub fn num_prefix_owners(&self) -> u32 {
-        self.prefix_owners
-    }
-
-    /// Neighbor ASes with at least one link, ascending.
-    pub fn neighbors(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.neighbor_index.iter().map(|&(a, _, _)| a)
-    }
 }
 
-/// The read contract every index backend answers: the heap
-/// [`QueryIndex`] a builder produces, the zero-copy
-/// [`V3View`](crate::flat::V3View) over snapshot bytes, and the
-/// [`AnyIndex`] that holds either. All implementations answer
+/// The read contract both index implementations answer: the heap
+/// [`QueryIndex`] a builder produces and the zero-copy
+/// [`V3View`](crate::flat::V3View) over snapshot bytes. Both answer
 /// byte-identically over the same border map and prefix overlay — the
-/// cross-version identity suite pins that down.
+/// compat suite pins that down.
 ///
 /// Methods that hand out id lists or address sets return owned values:
 /// a view reads unaligned little-endian records, so it cannot lend
-/// `&[u32]` slices the way the heap index can.
+/// `&[u32]` slices.
 pub trait QueryRead {
-    /// Longest-prefix-match owner of `a`.
+    /// Longest-prefix-match owner of `a`: the observed router holding
+    /// the address if there is one, else the routed prefix's origin.
     fn owner_of(&self, a: Addr) -> Option<OwnerAnswer>;
-    /// The border link carrying interface address `a`.
+    /// The border link carrying interface address `a` (either side),
+    /// with its near-side border router. The lowest link id wins when
+    /// one interface fronts several inferred links.
     fn border_of(&self, a: Addr) -> Option<BorderAnswer>;
     /// Ids of every link to neighbor `asn` (empty if none).
     fn neighbor_links(&self, asn: Asn) -> Vec<u32>;
@@ -350,199 +259,81 @@ pub trait QueryRead {
 
 impl QueryRead for QueryIndex {
     fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        QueryIndex::owner_of(self, a)
-    }
-    fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        QueryIndex::border_of(self, a)
-    }
-    fn neighbor_links(&self, asn: Asn) -> Vec<u32> {
-        QueryIndex::links_of_neighbor(self, asn).to_vec()
-    }
-    fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        QueryIndex::link_answer(self, id)
-    }
-    fn link_rec(&self, id: u32) -> Option<LinkRec> {
-        QueryIndex::link(self, id).copied()
-    }
-    fn router_info(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
-        QueryIndex::router(self, id).map(|(r, a)| (*r, a.to_vec()))
-    }
-    fn num_routers(&self) -> u32 {
-        QueryIndex::num_routers(self)
-    }
-    fn num_links(&self) -> u32 {
-        QueryIndex::num_links(self)
-    }
-    fn num_prefixes(&self) -> u32 {
-        QueryIndex::num_prefixes(self)
-    }
-    fn num_prefix_owners(&self) -> u32 {
-        QueryIndex::num_prefix_owners(self)
-    }
-    fn neighbor_list(&self) -> Vec<Asn> {
-        self.neighbors().collect()
-    }
-}
-
-impl QueryRead for crate::flat::V3View {
-    fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        crate::flat::V3View::owner_of(self, a)
-    }
-    fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        crate::flat::V3View::border_of(self, a)
-    }
-    fn neighbor_links(&self, asn: Asn) -> Vec<u32> {
-        crate::flat::V3View::links_of_neighbor(self, asn)
-    }
-    fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        crate::flat::V3View::link_answer(self, id)
-    }
-    fn link_rec(&self, id: u32) -> Option<LinkRec> {
-        crate::flat::V3View::link(self, id)
-    }
-    fn router_info(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
-        crate::flat::V3View::router(self, id)
-    }
-    fn num_routers(&self) -> u32 {
-        crate::flat::V3View::num_routers(self)
-    }
-    fn num_links(&self) -> u32 {
-        crate::flat::V3View::num_links(self)
-    }
-    fn num_prefixes(&self) -> u32 {
-        crate::flat::V3View::num_prefixes(self)
-    }
-    fn num_prefix_owners(&self) -> u32 {
-        crate::flat::V3View::num_prefix_owners(self)
-    }
-    fn neighbor_list(&self) -> Vec<Asn> {
-        self.neighbors()
-    }
-}
-
-/// A query index of either backing: a heap build (v1/v2 decode, or an
-/// in-process inference) or a zero-copy view over v3 snapshot bytes.
-/// This is what the serving daemon hot-swaps, so a v3 reload can skip
-/// the rebuild entirely while v1/v2 files keep their parse-and-build
-/// path.
-pub enum AnyIndex {
-    /// A heap-built [`QueryIndex`].
-    Heap(QueryIndex),
-    /// A validated view over v3 snapshot bytes.
-    View(crate::flat::V3View),
-}
-
-impl From<QueryIndex> for AnyIndex {
-    fn from(idx: QueryIndex) -> AnyIndex {
-        AnyIndex::Heap(idx)
-    }
-}
-
-impl From<crate::flat::V3View> for AnyIndex {
-    fn from(view: crate::flat::V3View) -> AnyIndex {
-        AnyIndex::View(view)
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $method:ident $(, $arg:expr)*) => {
-        match $self {
-            AnyIndex::Heap(idx) => QueryRead::$method(idx $(, $arg)*),
-            AnyIndex::View(view) => QueryRead::$method(view $(, $arg)*),
+        let (prefix, entry) = self.trie.lookup(a)?;
+        match *entry {
+            // Only owned routers enter the trie; an index that violates
+            // that answers a miss instead of panicking the read path.
+            TrieEntry::Router(r) => Some(OwnerAnswer {
+                asn: self.routers.get(r as usize)?.owner?,
+                prefix,
+                router: Some(r),
+            }),
+            TrieEntry::Owner(asn) => Some(OwnerAnswer {
+                asn,
+                prefix,
+                router: None,
+            }),
         }
-    };
-}
-
-impl AnyIndex {
-    /// Longest-prefix-match owner of `a`.
-    pub fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        delegate!(self, owner_of, a)
     }
 
-    /// The border link carrying interface address `a`.
-    pub fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        delegate!(self, border_of, a)
-    }
-
-    /// Ids of every link to neighbor `asn` (empty if none).
-    pub fn links_of_neighbor(&self, asn: Asn) -> Vec<u32> {
-        delegate!(self, neighbor_links, asn)
-    }
-
-    /// The border-link answer for link `id`.
-    pub fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        delegate!(self, link_answer, id)
-    }
-
-    /// The link row for `id`.
-    pub fn link(&self, id: u32) -> Option<LinkRec> {
-        delegate!(self, link_rec, id)
-    }
-
-    /// The router row and its interface addresses.
-    pub fn router(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
-        delegate!(self, router_info, id)
-    }
-
-    /// Number of routers.
-    pub fn num_routers(&self) -> u32 {
-        delegate!(self, num_routers)
-    }
-
-    /// Number of links.
-    pub fn num_links(&self) -> u32 {
-        delegate!(self, num_links)
-    }
-
-    /// Number of trie entries (router `/32`s plus prefix owners).
-    pub fn num_prefixes(&self) -> u32 {
-        delegate!(self, num_prefixes)
-    }
-
-    /// Number of coarse prefix-owner entries layered under the routers.
-    pub fn num_prefix_owners(&self) -> u32 {
-        delegate!(self, num_prefix_owners)
-    }
-
-    /// Neighbor ASes with at least one link, ascending.
-    pub fn neighbors(&self) -> Vec<Asn> {
-        delegate!(self, neighbor_list)
-    }
-}
-
-impl QueryRead for AnyIndex {
-    fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        AnyIndex::owner_of(self, a)
-    }
     fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        AnyIndex::border_of(self, a)
+        let at = self.border_index.partition_point(|&(b, _)| b < a);
+        let &(found, link) = self.border_index.get(at)?;
+        if found != a {
+            return None;
+        }
+        Some(self.border_answer(link))
     }
+
     fn neighbor_links(&self, asn: Asn) -> Vec<u32> {
-        AnyIndex::links_of_neighbor(self, asn)
+        match self
+            .neighbor_index
+            .binary_search_by_key(&asn, |&(a, _, _)| a)
+        {
+            Ok(i) => {
+                let (_, start, end) = self.neighbor_index[i];
+                self.link_arena[start as usize..end as usize].to_vec()
+            }
+            Err(_) => Vec::new(),
+        }
     }
+
     fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        AnyIndex::link_answer(self, id)
+        if (id as usize) < self.links.len() {
+            Some(self.border_answer(id))
+        } else {
+            None
+        }
     }
+
     fn link_rec(&self, id: u32) -> Option<LinkRec> {
-        AnyIndex::link(self, id)
+        self.links.get(id as usize).copied()
     }
+
     fn router_info(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
-        AnyIndex::router(self, id)
+        let r = self.routers.get(id as usize)?;
+        let addrs = &self.addr_arena[r.addr_start as usize..r.addr_end as usize];
+        Some((*r, addrs.to_vec()))
     }
+
     fn num_routers(&self) -> u32 {
-        AnyIndex::num_routers(self)
+        self.routers.len() as u32
     }
+
     fn num_links(&self) -> u32 {
-        AnyIndex::num_links(self)
+        self.links.len() as u32
     }
+
     fn num_prefixes(&self) -> u32 {
-        AnyIndex::num_prefixes(self)
+        self.trie.len() as u32
     }
+
     fn num_prefix_owners(&self) -> u32 {
-        AnyIndex::num_prefix_owners(self)
+        self.prefix_owners
     }
+
     fn neighbor_list(&self) -> Vec<Asn> {
-        AnyIndex::neighbors(self)
+        self.neighbor_index.iter().map(|&(a, _, _)| a).collect()
     }
 }
 
@@ -655,13 +446,10 @@ mod tests {
     #[test]
     fn neighbor_links_are_grouped() {
         let idx = QueryIndex::build(&map());
-        assert_eq!(idx.links_of_neighbor(Asn(200)), &[0, 2]);
-        assert_eq!(idx.links_of_neighbor(Asn(300)), &[1]);
-        assert_eq!(idx.links_of_neighbor(Asn(400)), &[] as &[u32]);
-        assert_eq!(
-            idx.neighbors().collect::<Vec<_>>(),
-            vec![Asn(200), Asn(300)]
-        );
+        assert_eq!(idx.neighbor_links(Asn(200)), vec![0, 2]);
+        assert_eq!(idx.neighbor_links(Asn(300)), vec![1]);
+        assert_eq!(idx.neighbor_links(Asn(400)), Vec::<u32>::new());
+        assert_eq!(idx.neighbor_list(), vec![Asn(200), Asn(300)]);
     }
 
     #[test]
@@ -669,11 +457,11 @@ mod tests {
         let idx = QueryIndex::build(&map());
         assert_eq!(idx.num_routers(), 3);
         assert_eq!(idx.num_links(), 3);
-        let (rec, addrs) = idx.router(1).unwrap();
+        let (rec, addrs) = idx.router_info(1).unwrap();
         assert_eq!(rec.owner, Some(Asn(200)));
         assert_eq!(addrs.len(), 3);
-        assert!(idx.router(9).is_none());
-        assert_eq!(idx.link(2).unwrap().heuristic, Heuristic::ThirdParty);
+        assert!(idx.router_info(9).is_none());
+        assert_eq!(idx.link_rec(2).unwrap().heuristic, Heuristic::ThirdParty);
         assert!(idx.link_answer(9).is_none());
         assert_eq!(idx.link_answer(1).unwrap().far_as, Asn(300));
     }

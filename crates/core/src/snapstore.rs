@@ -7,12 +7,19 @@
 //! at the last *verified-good* generation. Both the snapshot and the
 //! manifest are written atomically (write-to-sibling + fsync + rename),
 //! and a snapshot is only referenced by the manifest after it has been
-//! read back and fully re-verified — checksums included.
+//! read back and verified — checksums and structure.
+//!
+//! Verification is the same single pass everywhere: one
+//! [`flat::verify_integrity`] and one [`flat::validate_structure`] over
+//! the file's bytes, with no [`BorderMap`] built. The load path hands
+//! the bytes on with the [`Layout`] and [`Validated`] proof that pass
+//! produced, so a server assembles its view without verifying again.
 //!
 //! The load path is where the crash safety pays off:
 //! [`load_verified`](SnapStore::load_verified) starts from the manifest
 //! generation and walks *backwards* on failure. A snapshot that fails
-//! to decode (bad magic, failed CRC, truncation) is quarantined into
+//! verification (bad magic, a version other than v3, failed CRC,
+//! truncation, a structural fault) is quarantined into
 //! `corrupt/` — preserving the evidence without leaving a landmine on
 //! the load path — and the previous generation is tried, so a single
 //! bad publish degrades service to the last good map instead of taking
@@ -26,8 +33,9 @@
 //! Health gauges (current generation, on-disk bytes, quarantine count)
 //! land in the [`Registry`] the store was opened with.
 
+use crate::flat::{self, Layout, Validated};
 use crate::output::BorderMap;
-use crate::snapshot;
+use crate::snapshot::{self, SnapshotError};
 use bdrmap_obs::Registry;
 use bdrmap_types::Vfs;
 use std::io;
@@ -38,7 +46,7 @@ const MANIFEST: &str = "MANIFEST";
 /// Quarantine subdirectory for snapshots that failed verification.
 const CORRUPT_DIR: &str = "corrupt";
 
-/// Why the store could not produce a border map.
+/// Why the store could not produce a verified snapshot.
 #[derive(Debug)]
 pub enum StoreError {
     /// The store directory holds no snapshot generations at all.
@@ -96,18 +104,21 @@ pub struct Quarantined {
     pub reason: String,
 }
 
-/// The result of a verified load: the map, where it came from, and what
-/// had to be thrown out along the way.
+/// The result of a verified load: the snapshot bytes with the proof of
+/// their one verification, where they came from, and what had to be
+/// thrown out along the way.
 #[derive(Debug)]
 pub struct LoadOutcome {
-    /// The verified-good border map.
-    pub map: BorderMap,
-    /// The exact on-disk bytes the map was decoded from. A v3 consumer
-    /// can open a zero-copy view over these instead of re-reading the
-    /// file (and racing a concurrent republish).
+    /// The exact on-disk bytes that passed verification. A server opens
+    /// its zero-copy view over these ([`flat::V3View::from_validated`]
+    /// with `layout` and `proof`) instead of re-reading the file (and
+    /// racing a concurrent republish).
     pub bytes: Vec<u8>,
-    /// The snapshot format version of `bytes`.
-    pub version: u16,
+    /// The section layout [`flat::verify_integrity`] derived from
+    /// `bytes`.
+    pub layout: Layout,
+    /// Evidence that [`flat::validate_structure`] accepted `bytes`.
+    pub proof: Validated,
     /// The generation it was loaded from.
     pub generation: u64,
     /// Generations quarantined during this load, newest first. Empty on
@@ -128,7 +139,6 @@ pub struct SnapStore {
     dir: PathBuf,
     vfs: Vfs,
     registry: Registry,
-    version: u16,
 }
 
 impl SnapStore {
@@ -149,26 +159,23 @@ impl SnapStore {
     ) -> io::Result<SnapStore> {
         let dir = dir.into();
         vfs.create_dir_all(&dir.join(CORRUPT_DIR))?;
-        let store = SnapStore {
-            dir,
-            vfs,
-            registry,
-            version: snapshot::DEFAULT_VERSION,
-        };
+        let store = SnapStore { dir, vfs, registry };
         store.refresh_gauges();
         Ok(store)
     }
 
-    /// Use an explicit snapshot format version for future publishes
-    /// (the load path always accepts any supported version).
-    pub fn with_snapshot_version(mut self, version: u16) -> SnapStore {
-        self.version = version;
+    /// Kept so callers written when the store could publish older
+    /// formats (the `perfbench/` workloads) still compile. v3 is the
+    /// only format, so `version` must be [`flat::VERSION`]; nothing is
+    /// stored.
+    pub fn with_snapshot_version(self, version: u16) -> SnapStore {
+        assert_eq!(
+            version,
+            flat::VERSION,
+            "BDRM v{} is the only snapshot format",
+            flat::VERSION
+        );
         self
-    }
-
-    /// The snapshot format version this store publishes.
-    pub fn snapshot_version(&self) -> u16 {
-        self.version
     }
 
     /// The store directory.
@@ -268,9 +275,9 @@ impl SnapStore {
     }
 
     /// Publish `map` as the next generation: write it atomically, read
-    /// it back and verify every checksum, and only then advance the
-    /// manifest. Returns the new generation number. Errors carry the
-    /// offending path.
+    /// it back and verify it (every checksum, then the structural pass),
+    /// and only then advance the manifest. Returns the new generation
+    /// number. Errors carry the offending path.
     pub fn publish(&self, map: &BorderMap) -> io::Result<u64> {
         let gen = self
             .newest_generation()?
@@ -278,15 +285,15 @@ impl SnapStore {
             .expect("snapshot generation counter overflowed u64");
         let path = self.path_of(gen);
         let at = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-        let encoded = snapshot::encode_as(map, self.version)
+        let encoded = snapshot::encode_v3(map)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         self.vfs.write_atomic(&path, &encoded).map_err(at)?;
         // Read-back verification: never point the manifest at bytes
-        // that were not proven decodable from disk. The read goes
+        // that were not proven servable from disk. The read goes
         // through the seam too, so injected torn renames and bit-rot
         // are caught *here*, before the manifest moves.
         let bytes = self.vfs.read(&path).map_err(at)?;
-        snapshot::decode(&bytes).map_err(|e| {
+        verify(&bytes).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: read-back verification failed: {e}", path.display()),
@@ -325,7 +332,7 @@ impl SnapStore {
     }
 
     /// Load the newest verified-good snapshot, quarantining and rolling
-    /// past any generation that fails to decode. On success the
+    /// past any generation that fails verification. On success the
     /// manifest is re-pointed at the generation actually served, so the
     /// next load does not re-tread the bad path.
     pub fn load_verified(&self) -> Result<LoadOutcome, StoreError> {
@@ -346,13 +353,12 @@ impl SnapStore {
                 .vfs
                 .read(&path)
                 .map_err(|e| format!("read {}: {e}", path.display()))
-                .and_then(|bytes| {
-                    snapshot::decode(&bytes)
-                        .map(|map| (map, bytes))
-                        .map_err(|e| format!("{}: {e}", path.display()))
+                .and_then(|bytes| match verify(&bytes) {
+                    Ok((layout, proof)) => Ok((bytes, layout, proof)),
+                    Err(e) => Err(format!("{}: {e}", path.display())),
                 });
             match verified {
-                Ok((map, bytes)) => {
+                Ok((bytes, layout, proof)) => {
                     if self.manifest_generation() != Some(gen) {
                         self.write_manifest(gen)?;
                     }
@@ -365,12 +371,10 @@ impl SnapStore {
                         .gauge("bdrmap_snapstore_generation", &[])
                         .set(gen);
                     self.refresh_gauges();
-                    // decode() succeeded, so the preamble is present.
-                    let version = snapshot::version_of(&bytes).unwrap_or(0);
                     return Ok(LoadOutcome {
-                        map,
                         bytes,
-                        version,
+                        layout,
+                        proof,
                         generation: gen,
                         quarantined,
                     });
@@ -416,12 +420,26 @@ impl SnapStore {
     }
 }
 
+/// The one verification every snapshot gets on its way in: integrity,
+/// then structure.
+fn verify(bytes: &[u8]) -> Result<(Layout, Validated), SnapshotError> {
+    let layout = flat::verify_integrity(bytes)?;
+    let proof = flat::validate_structure(bytes, &layout)?;
+    Ok((layout, proof))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::output::{Heuristic, InferredLink, InferredRouter};
     use bdrmap_types::vfs::{ChaosFsConfig, ChaosVfs, FsFaultBudget};
     use bdrmap_types::Asn;
+
+    /// The probe-traffic figure of the map a load served.
+    fn packets(out: &LoadOutcome) -> u64 {
+        flat::V3View::from_validated(out.bytes.clone(), out.layout, out.proof, std::iter::empty())
+            .packets()
+    }
 
     fn sample(packets: u64) -> BorderMap {
         BorderMap {
@@ -462,7 +480,7 @@ mod tests {
         assert_eq!(store.manifest_generation(), Some(2));
         let out = store.load_verified().unwrap();
         assert_eq!(out.generation, 2);
-        assert_eq!(out.map.packets, 2);
+        assert_eq!(packets(&out), 2);
         assert!(!out.rolled_back());
         assert_eq!(store.generations().unwrap(), vec![1, 2]);
         std::fs::remove_dir_all(&dir).ok();
@@ -482,7 +500,7 @@ mod tests {
 
         let out = store.load_verified().unwrap();
         assert_eq!(out.generation, 1);
-        assert_eq!(out.map.packets, 1);
+        assert_eq!(packets(&out), 1);
         assert!(out.rolled_back());
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].generation, 2);
@@ -653,7 +671,7 @@ mod tests {
         let g = store.publish(&sample(999)).unwrap();
         let out = store.load_verified().unwrap();
         assert_eq!(out.generation, g);
-        assert_eq!(out.map.packets, 999);
+        assert_eq!(packets(&out), 999);
         std::fs::remove_dir_all(&dir).ok();
     }
 

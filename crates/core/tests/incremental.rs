@@ -65,7 +65,7 @@ fn shadow_bytes(
     coll: TraceCollection,
 ) -> Vec<u8> {
     let engine = fresh_engine(dp);
-    snapshot::encode(&bdrmap_core::run_stages(&engine, input, cfg, coll).map).unwrap()
+    snapshot::encode_v3(&bdrmap_core::run_stages(&engine, input, cfg, coll).map).unwrap()
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -108,7 +108,7 @@ fn incremental_matches_shadow_rebuild_under_random_interleavings() {
         let (map, report) = engine.apply(&prober, &input, Batch::upserts(pool[..next].to_vec()));
         assert!(report.full_walk && report.reused == 0);
         assert_eq!(
-            snapshot::encode(&map).unwrap(),
+            snapshot::encode_v3(&map).unwrap(),
             shadow_bytes(&dp, &input, &cfg, engine.shadow_collection()),
             "pass 1 diverged at parallelism {par}"
         );
@@ -137,7 +137,7 @@ fn incremental_matches_shadow_rebuild_under_random_interleavings() {
             }
             let (map, report) = engine.apply(&prober, &input, batch);
             assert_eq!(
-                snapshot::encode(&map).unwrap(),
+                snapshot::encode_v3(&map).unwrap(),
                 shadow_bytes(&dp, &input, &cfg, engine.shadow_collection()),
                 "step {step} diverged at parallelism {par}"
             );
@@ -171,8 +171,8 @@ fn noop_batch_reuses_every_router() {
     assert_eq!(report.reused, report.routers);
     assert_eq!(report.alias_cache_misses, 0, "no new alias task may probe");
     assert_eq!(
-        snapshot::encode(&map1).unwrap(),
-        snapshot::encode(&map2).unwrap()
+        snapshot::encode_v3(&map1).unwrap(),
+        snapshot::encode_v3(&map2).unwrap()
     );
 }
 
@@ -203,12 +203,12 @@ fn retraction_restores_the_smaller_maps_bytes() {
     );
     assert_eq!(report.retracted, coll.traces.len() - split);
     assert_eq!(
-        snapshot::encode(&small).unwrap(),
-        snapshot::encode(&shrunk).unwrap(),
+        snapshot::encode_v3(&small).unwrap(),
+        snapshot::encode_v3(&shrunk).unwrap(),
         "retraction must converge to the same bytes as never adding"
     );
     assert_eq!(
-        snapshot::encode(&shrunk).unwrap(),
+        snapshot::encode_v3(&shrunk).unwrap(),
         shadow_bytes(&dp, &input, &cfg, engine2.shadow_collection())
     );
 }

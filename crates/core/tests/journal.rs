@@ -71,7 +71,7 @@ fn shadow_bytes(
     coll: TraceCollection,
 ) -> Vec<u8> {
     let engine = fresh_engine(dp);
-    snapshot::encode(&bdrmap_core::run_stages(&engine, input, cfg, coll).map).unwrap()
+    snapshot::encode_v3(&bdrmap_core::run_stages(&engine, input, cfg, coll).map).unwrap()
 }
 
 fn tmp(tag: &str, n: u64) -> PathBuf {
@@ -133,7 +133,7 @@ fn replay_after_kill_is_byte_identical_at_parallelism_1_and_4() {
         journal.append(7, &batches[2]).unwrap();
         let (map, report) = engine.apply(&prober, &input, batches[2].clone());
         assert_eq!(report.pass, 3);
-        let bytes = snapshot::encode(&map).unwrap();
+        let bytes = snapshot::encode_v3(&map).unwrap();
         let mut uninterrupted = IncrementalEngine::new(cfg, TICK_US);
         let mut reference = None;
         for b in &batches {
@@ -141,7 +141,7 @@ fn replay_after_kill_is_byte_identical_at_parallelism_1_and_4() {
         }
         assert_eq!(
             bytes,
-            snapshot::encode(&reference.unwrap()).unwrap(),
+            snapshot::encode_v3(&reference.unwrap()).unwrap(),
             "recovered pass 3 diverged from the uninterrupted run at parallelism {par}"
         );
         assert_eq!(
@@ -236,8 +236,8 @@ fn torn_compaction_falls_back_to_previous_checkpoint() {
         reference = Some(uninterrupted.apply(&prober, &input, b.clone()).0);
     }
     assert_eq!(
-        snapshot::encode(&map).unwrap(),
-        snapshot::encode(&reference.unwrap()).unwrap(),
+        snapshot::encode_v3(&map).unwrap(),
+        snapshot::encode_v3(&reference.unwrap()).unwrap(),
         "post-recovery retraction diverged from the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -291,7 +291,7 @@ fn expire_after_boundaries_refresh_and_retraction() {
     let (map, report) = engine.apply(&prober, &input, batch); // pass 4
     assert_eq!(report.retracted, 1);
     assert_eq!(
-        snapshot::encode(&map).unwrap(),
+        snapshot::encode_v3(&map).unwrap(),
         shadow_bytes(&dp, &input, &cfg, engine.shadow_collection()),
         "retraction of expired traces diverged from the rebuild"
     );

@@ -73,7 +73,7 @@ fn alias_data_and_border_map_identical_at_any_parallelism() {
             ..BdrmapConfig::default()
         };
         let run = bdrmap_core::run_stages(&engine, &input, &cfg, coll.clone());
-        let map_bytes = snapshot::encode(&run.map).unwrap();
+        let map_bytes = snapshot::encode_v3(&run.map).unwrap();
         runs.push((parallelism, run, map_bytes));
     }
 

@@ -35,7 +35,7 @@ use crate::http;
 use crate::proto::{Request, Response};
 use crate::server::{handle, LoopMetrics, Shared, SUPERVISE_POLL};
 use crate::timer::TimerWheel;
-use bdrmap_core::AnyIndex;
+use bdrmap_core::V3View;
 use bdrmap_types::sys::{
     writev_fd, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -301,7 +301,7 @@ impl Slab {
 
 struct LoopState {
     shared: Arc<Shared>,
-    reader: SwapReader<AnyIndex>,
+    reader: SwapReader<V3View>,
     listener: Arc<TcpListener>,
     metrics_listener: Option<Arc<TcpListener>>,
     lm: LoopMetrics,
@@ -329,7 +329,7 @@ impl Drop for LoopState {
 
 fn run_loop(
     shared: Arc<Shared>,
-    reader: SwapReader<AnyIndex>,
+    reader: SwapReader<V3View>,
     listener: Arc<TcpListener>,
     metrics_listener: Option<Arc<TcpListener>>,
     index: usize,
@@ -786,7 +786,7 @@ impl LoopState {
 
 fn proto_ready(
     shared: &Shared,
-    reader: &SwapReader<AnyIndex>,
+    reader: &SwapReader<V3View>,
     lm: &LoopMetrics,
     wheel: &mut TimerWheel,
     conn: &mut EConn,
@@ -866,7 +866,7 @@ fn proto_ready(
 
 fn process_frames(
     shared: &Shared,
-    reader: &SwapReader<AnyIndex>,
+    reader: &SwapReader<V3View>,
     lm: &LoopMetrics,
     conn: &mut EConn,
 ) -> Result<(), FrameFail> {

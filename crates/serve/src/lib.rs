@@ -3,8 +3,9 @@
 //! The inference pipeline ends with a [`BorderMap`](bdrmap_core::BorderMap);
 //! this crate makes that artifact *queryable as a service*:
 //!
-//! - [`server`] — a daemon that loads a border map into an immutable,
-//!   arena-backed [`QueryIndex`](bdrmap_core::QueryIndex) and answers
+//! - [`server`] — a daemon that serves a border map as a zero-copy
+//!   [`V3View`](bdrmap_core::V3View) over BDRM v3 snapshot bytes (an
+//!   in-process map is encoded as v3 first) and answers
 //!   owner-of-address, border-router-of-link, and links-of-neighbor-AS
 //!   queries over a length-prefixed binary TCP protocol, with overload
 //!   shedding at a fixed admission budget. Two interchangeable
@@ -16,11 +17,11 @@
 //!   [`bdrmap_types::sys`]. An optional plain-HTTP GET /metrics
 //!   listener serves Prometheus scrapes.
 //!   Snapshots are hot-swappable via a lock-free atomic pointer swap
-//!   ([`SwapCell`](bdrmap_types::SwapCell)): a `reload` builds the next
-//!   index off-thread and publishes it without dropping in-flight
-//!   queries. Servers can boot from a crash-safe
-//!   [`SnapStore`](bdrmap_core::SnapStore) directory, rolling back past
-//!   corrupt snapshot generations.
+//!   ([`SwapCell`](bdrmap_types::SwapCell)): a `reload` verifies the
+//!   next snapshot once, assembles its view off-thread and publishes it
+//!   without dropping in-flight queries. Servers can boot from a
+//!   crash-safe [`SnapStore`](bdrmap_core::SnapStore) directory,
+//!   rolling back past corrupt snapshot generations.
 //! - [`proto`] — the wire protocol (framing in
 //!   [`bdrmap_types::wire`], request/response codecs here). Every
 //!   decode failure is a typed [`ProtoError`]; hostile bytes never

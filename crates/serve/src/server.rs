@@ -3,14 +3,17 @@
 //! A [`Server`] owns a TCP listener, a bounded accept queue, and a
 //! fixed pool of worker threads. Each worker serves one connection at a
 //! time, answering length-prefixed [`proto`](crate::proto) frames from
-//! an immutable [`QueryIndex`] snapshot. When the accept queue is full
+//! an immutable [`V3View`] over BDRM v3 snapshot bytes. A server started
+//! from an in-process [`BorderMap`] encodes it as v3 first, so every
+//! server answers through the same view. When the accept queue is full
 //! the acceptor *sheds*: the connection gets a single `Overload` frame
 //! and is closed, so saturation degrades into fast rejections instead
 //! of unbounded queueing.
 //!
 //! Snapshots are hot-swappable. A `Reload` control frame makes the
-//! handling worker build the next index — off the other workers' hot
-//! path — and publish it with an atomic pointer swap ([`SwapCell`]):
+//! handling worker read, verify and validate the next snapshot once
+//! and assemble its view — off the other workers' hot path — then
+//! publish it with an atomic pointer swap ([`SwapCell`]):
 //! readers that already loaded the old `Arc` finish their in-flight
 //! queries on it, and every later query sees the new snapshot. No
 //! reader ever takes a lock.
@@ -21,9 +24,9 @@
 //! - connections get request/write deadlines, a max-inflight-frames
 //!   cap, and slow-loris eviction; socket-setup failures are counted
 //!   and the connection refused rather than served without timeouts;
-//! - reloads retry with backoff, never panic the worker (index builds
-//!   run under `catch_unwind`), and sit behind a circuit breaker that
-//!   pins the last-good snapshot after repeated failures;
+//! - reloads retry with backoff, never panic the worker (validation and
+//!   view assembly run under `catch_unwind`), and sit behind a circuit
+//!   breaker that pins the last-good snapshot after repeated failures;
 //! - a server may be started from a [`SnapStore`] directory, in which
 //!   case startup and store-reloads verify checksums and roll back
 //!   past corrupt generations automatically;
@@ -35,7 +38,7 @@ use crate::conn::{
 };
 use crate::proto::{HealthInfo, Request, Response, Stats};
 use crate::reload::Breaker;
-use bdrmap_core::{flat, snapshot, AnyIndex, BorderMap, QueryIndex, QueryRead, SnapStore};
+use bdrmap_core::{flat, snapshot, BorderMap, QueryRead, SnapStore, V3View};
 use bdrmap_obs::{Counter, Histogram, Registry};
 use bdrmap_types::wire::{read_frame, write_frame, MAX_FRAME};
 use bdrmap_types::{Asn, Prefix, SwapCell, SwapReader, Vfs};
@@ -352,7 +355,7 @@ struct ReloadInfo {
     /// Snapshot-store generation served (0 without a store; carried
     /// over unchanged by file reloads).
     store_generation: u64,
-    /// Microseconds the reload spent building the index.
+    /// Microseconds the reload spent assembling the view.
     build_us: u64,
     /// Microseconds the reload spent publishing the swap.
     swap_us: u64,
@@ -360,7 +363,7 @@ struct ReloadInfo {
 
 /// State shared by the acceptor, the workers/loops, and the handle.
 pub(crate) struct Shared {
-    pub(crate) cell: Arc<SwapCell<AnyIndex>>,
+    pub(crate) cell: Arc<SwapCell<V3View>>,
     /// Reload accounting; see [`ReloadInfo`].
     reload_info: SwapCell<ReloadInfo>,
     /// Orders concurrent reload publications so a slower reload cannot
@@ -396,7 +399,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn stats(&self, idx: &AnyIndex) -> Stats {
+    fn stats(&self, idx: &V3View) -> Stats {
         let info = self.reload_info.load_locked();
         Stats {
             generation: info.generation,
@@ -466,13 +469,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build the initial index from `map` and start serving.
+    /// Encode `map` as a v3 snapshot and serve it through
+    /// [`start_from_bytes`](Server::start_from_bytes) — the read path
+    /// every server answers through.
     pub fn start(map: &BorderMap, cfg: ServeConfig) -> io::Result<Server> {
-        let index = AnyIndex::Heap(QueryIndex::build_with_prefixes(
-            map,
-            cfg.prefix_owners.iter().copied(),
-        ));
-        Server::start_inner(index, cfg, ServerMetrics::new(), None, 0)
+        let bytes = snapshot::encode_v3(map)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        Server::start_from_bytes(bytes, cfg)
+    }
+
+    /// Verify v3 snapshot `bytes` once, open a view over them, and start
+    /// serving it.
+    pub fn start_from_bytes(bytes: Vec<u8>, cfg: ServeConfig) -> io::Result<Server> {
+        let view = V3View::open(bytes, cfg.prefix_owners.iter().copied())
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        Server::start_inner(view, cfg, ServerMetrics::new(), None, 0)
     }
 
     /// Load the newest verified-good generation from the snapshot store
@@ -494,23 +505,19 @@ impl Server {
                 outcome.generation
             );
         }
-        // A v3 generation is served zero-copy: the verified bytes the
-        // store just read back *are* the index. Older versions rebuild
-        // the heap index from the decoded map.
-        let index = match outcome.version {
-            flat::VERSION => flat::V3View::open(outcome.bytes, cfg.prefix_owners.iter().copied())
-                .map(AnyIndex::View)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-            _ => AnyIndex::Heap(QueryIndex::build_with_prefixes(
-                &outcome.map,
-                cfg.prefix_owners.iter().copied(),
-            )),
-        };
-        Server::start_inner(index, cfg, metrics, Some(store), outcome.generation)
+        // The store verified the bytes once; the view is assembled
+        // from that pass's layout and proof, without verifying again.
+        let view = V3View::from_validated(
+            outcome.bytes,
+            outcome.layout,
+            outcome.proof,
+            cfg.prefix_owners.iter().copied(),
+        );
+        Server::start_inner(view, cfg, metrics, Some(store), outcome.generation)
     }
 
     fn start_inner(
-        index: AnyIndex,
+        view: V3View,
         cfg: ServeConfig,
         metrics: ServerMetrics,
         store: Option<SnapStore>,
@@ -523,7 +530,7 @@ impl Server {
             ));
         }
         let workers = cfg.workers.max(1);
-        let cell = Arc::new(SwapCell::new(Arc::new(index)));
+        let cell = Arc::new(SwapCell::new(Arc::new(view)));
         let reload_info = SwapCell::new(Arc::new(ReloadInfo {
             generation: cell.generation(),
             store_generation,
@@ -828,7 +835,7 @@ fn accept_loop(shared: Arc<Shared>, listener: Arc<TcpListener>, tx: SyncSender<T
 
 fn worker_loop(
     shared: Arc<Shared>,
-    reader: SwapReader<AnyIndex>,
+    reader: SwapReader<V3View>,
     rx: Arc<Mutex<Receiver<TcpStream>>>,
 ) {
     loop {
@@ -852,7 +859,7 @@ fn worker_loop(
 
 /// Serve one connection until the peer closes it, a robustness policy
 /// evicts it, or shutdown drains it.
-fn serve_conn(shared: &Shared, reader: &SwapReader<AnyIndex>, stream: TcpStream) {
+fn serve_conn(shared: &Shared, reader: &SwapReader<V3View>, stream: TcpStream) {
     let mut conn = match Conn::new(stream, shared.limits, shared.chaos.clone()) {
         Ok(conn) => conn,
         Err(_) => {
@@ -932,7 +939,7 @@ fn evict(conn: &mut Conn, reason: &str) {
 /// and latency histogram; only `Owner`/`Border`/`Neighbor` contribute
 /// to the `queries` figure in `Stats`, so a client polling `Stats` or
 /// `Health` neither distorts nor vanishes from reported load.
-pub(crate) fn handle(shared: &Shared, reader: &SwapReader<AnyIndex>, req: Request) -> Response {
+pub(crate) fn handle(shared: &Shared, reader: &SwapReader<V3View>, req: Request) -> Response {
     let op = op_index(&req);
     shared.metrics.requests[op].inc();
     let start = Instant::now();
@@ -943,10 +950,11 @@ pub(crate) fn handle(shared: &Shared, reader: &SwapReader<AnyIndex>, req: Reques
 
 /// The pure data-plane answer for a query request against one index:
 /// exactly what a worker would serve, minus the transport. `None` for
-/// control-plane requests. Generic over [`QueryRead`], so a v2 heap
-/// index and a v3 zero-copy view go through the same code — the chaos
-/// harness and the cross-version compat suite compare live responses
-/// against this to prove no fault (or codec) ever corrupted an answer.
+/// control-plane requests. Generic over [`QueryRead`], so the served
+/// [`V3View`] and the heap [`QueryIndex`](bdrmap_core::QueryIndex)
+/// reference go through the same code — the chaos harness and the
+/// compat suites compare live responses against the reference to prove
+/// no fault (or codec) ever corrupted an answer.
 pub fn answer<I: QueryRead>(idx: &I, req: &Request) -> Option<Response> {
     match req {
         Request::Owner(a) => Some(Response::Owner(idx.owner_of(*a))),
@@ -962,7 +970,7 @@ pub fn answer<I: QueryRead>(idx: &I, req: &Request) -> Option<Response> {
     }
 }
 
-fn dispatch(shared: &Shared, reader: &SwapReader<AnyIndex>, req: Request) -> Response {
+fn dispatch(shared: &Shared, reader: &SwapReader<V3View>, req: Request) -> Response {
     match req {
         Request::Owner(_) | Request::Border(_) | Request::Neighbor(_) => {
             let idx = reader.load();
@@ -992,8 +1000,8 @@ enum ReloadSource<'a> {
     Store,
 }
 
-/// Build the next index and publish it, behind the circuit breaker and
-/// a bounded retry loop. Runs on the worker that received the control
+/// Open the next view and publish it, behind the circuit breaker and a
+/// bounded retry loop. Runs on the worker that received the control
 /// frame, so the other workers keep serving the old snapshot until the
 /// swap lands.
 fn reload(shared: &Shared, path: &str) -> Response {
@@ -1043,66 +1051,49 @@ fn reload(shared: &Shared, path: &str) -> Response {
 }
 
 fn reload_once(shared: &Shared, source: &ReloadSource<'_>) -> Result<Response, String> {
-    // Load phase: raw bytes plus integrity (the store's read-back
-    // verification, or the file path's checksums below).
-    let (bytes, store_gen) = match source {
+    // Load phase: read the bytes and verify them once — every checksum,
+    // then the structural pass — yielding the layout and proof the view
+    // is assembled from. The store does both inside `load_verified`
+    // (rolling back past bad generations); a file is checked here.
+    // Validation runs under `catch_unwind`: a panicking pass must not
+    // kill the worker thread; the old view stays live and the reload
+    // counts as a failed attempt.
+    let validation_panicked = |_| "snapshot validation panicked".to_string();
+    let (bytes, layout, proof, store_gen) = match source {
         ReloadSource::File(path) => {
             let bytes = std::fs::read(std::path::Path::new(path))
                 .map_err(|e| format!("load {path}: {e}"))?;
-            (bytes, None)
-        }
-        ReloadSource::Store => {
-            let store = shared.store.as_ref().expect("source checked by caller");
-            let outcome = store.load_verified().map_err(|e| format!("store: {e}"))?;
-            (outcome.bytes, Some(outcome.generation))
-        }
-    };
-    // Build phase, under `catch_unwind`: a panicking index build (or
-    // validation pass) must not kill the worker thread or leak a
-    // half-built snapshot; the old index stays live and the reload
-    // counts as a failed attempt. The phase accounting is symmetric
-    // across versions: everything a reader must check before trusting
-    // the bytes is *load* (v1/v2 `decode`; v3 integrity + structural
-    // validation), and `build_us` is what it costs to stand up the
-    // query structures afterwards. v2 pays a full index rebuild there;
-    // v3 only assembles the configured prefix overlay, which is why v3
-    // reloads report near-zero `build_us` independent of map size.
-    let (next, build_us) = match snapshot::version_of(&bytes) {
-        Some(flat::VERSION) => {
-            let layout = flat::verify_integrity(&bytes).map_err(|e| format!("verify v3: {e}"))?;
+            let layout =
+                flat::verify_integrity(&bytes).map_err(|e| format!("verify {path}: {e}"))?;
             let proof = catch_unwind(AssertUnwindSafe(|| {
                 flat::validate_structure(&bytes, &layout)
             }))
-            .map_err(|_| "snapshot validation panicked".to_string())?
-            .map_err(|e| format!("validate v3: {e}"))?;
-            let build_start = Instant::now();
-            let view = catch_unwind(AssertUnwindSafe(|| {
-                flat::V3View::from_validated(
-                    bytes,
-                    layout,
-                    proof,
-                    shared.prefix_owners.iter().copied(),
-                )
-            }))
-            .map_err(|_| "snapshot view assembly panicked".to_string())?;
-            (
-                AnyIndex::View(view),
-                build_start.elapsed().as_micros() as u64,
-            )
+            .map_err(validation_panicked)?
+            .map_err(|e| format!("validate {path}: {e}"))?;
+            (bytes, layout, proof, None)
         }
-        _ => {
-            let map = snapshot::decode(&bytes).map_err(|e| format!("decode: {e}"))?;
-            let build_start = Instant::now();
-            let idx = catch_unwind(AssertUnwindSafe(|| {
-                QueryIndex::build_with_prefixes(&map, shared.prefix_owners.iter().copied())
-            }))
-            .map_err(|_| "index build panicked".to_string())?;
+        ReloadSource::Store => {
+            let store = shared.store.as_ref().expect("source checked by caller");
+            let outcome = catch_unwind(AssertUnwindSafe(|| store.load_verified()))
+                .map_err(validation_panicked)?
+                .map_err(|e| format!("store: {e}"))?;
             (
-                AnyIndex::Heap(idx),
-                build_start.elapsed().as_micros() as u64,
+                outcome.bytes,
+                outcome.layout,
+                outcome.proof,
+                Some(outcome.generation),
             )
         }
     };
+    // Build phase, also under `catch_unwind`: assemble the view over
+    // the trusted bytes. That is only the configured prefix overlay, so
+    // `build_us` is near-zero and independent of map size.
+    let build_start = Instant::now();
+    let next = catch_unwind(AssertUnwindSafe(|| {
+        V3View::from_validated(bytes, layout, proof, shared.prefix_owners.iter().copied())
+    }))
+    .map_err(|_| "snapshot view assembly panicked".to_string())?;
+    let build_us = build_start.elapsed().as_micros() as u64;
     let routers = next.num_routers();
     let links = next.num_links();
     let swap_start = Instant::now();

@@ -7,7 +7,7 @@
 //! saturated accept queue sheds with `Overload` instead of queueing
 //! without bound.
 
-use bdrmap_core::{snapshot, BdrmapConfig, BorderMap, QueryIndex};
+use bdrmap_core::{snapshot, BdrmapConfig, BorderMap, QueryIndex, QueryRead};
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{
     loadgen, queries_for_map, Client, LinkInfo, LoadgenConfig, Request, Response, ServeConfig,
@@ -100,9 +100,9 @@ fn serves_all_three_query_kinds_correctly_impl(backend: ServerBackend) {
             other => panic!("neighbor query answered with {other:?}"),
         };
         let expected: Vec<LinkInfo> = reference
-            .links_of_neighbor(asn)
-            .iter()
-            .filter_map(|&id| reference.link_answer(id))
+            .neighbor_links(asn)
+            .into_iter()
+            .filter_map(|id| reference.link_answer(id))
             .map(LinkInfo::from)
             .collect();
         assert_eq!(served, expected, "neighbor mismatch for {asn}");
