@@ -1,4 +1,4 @@
-//! Seeded structure-aware fuzzing of the BDRM v3 snapshot reader and
+//! Seeded structure-aware fuzzing of the BDRM v4 snapshot reader and
 //! the bdrmapd wire protocol.
 //!
 //! No external fuzzing engine: a splitmix64 generator (the same
@@ -7,14 +7,14 @@
 //! away from a local repro.
 //!
 //! The fuzzer starts from *valid* artifacts (border maps encoded as
-//! BDRM v3, encoded requests and responses) and applies
+//! BDRM v4, encoded requests and responses) and applies
 //! structure-aware mutations: bit flips, byte overwrites, truncations,
 //! extensions, internal splices, and 32-bit boundary overwrites aimed
 //! at length/count fields. Half the snapshot mutants are then
-//! *re-sealed*: every section CRC and the footer are recomputed over
-//! the mutated bytes, so the mutant gets past the checksums into the
-//! structural pass and, when that accepts it, the query path bdrmapd
-//! serves from. Two properties must hold:
+//! *re-sealed* with [`flat::seal`]: every section CRC and the footer
+//! are recomputed over the mutated bytes, so the mutant gets past the
+//! checksums into the structural pass and, when that accepts it, the
+//! query path bdrmapd serves from. Two properties must hold:
 //!
 //! 1. **No panic.** Decoding arbitrary bytes returns `Ok` or a typed
 //!    error; it never unwinds. Neither does any query against an
@@ -36,7 +36,6 @@
 use bdrmap_core::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 use bdrmap_core::{flat, snapshot, QueryRead, V3View};
 use bdrmap_serve::{answer, Request, Response};
-use bdrmap_types::integrity::crc32c;
 use bdrmap_types::wire::read_frame;
 use bdrmap_types::{addr, Addr, Asn, Prefix};
 use std::hint::black_box;
@@ -310,41 +309,21 @@ enum Outcome {
     NotCanonical,
 }
 
-/// A corpus snapshot: its v3 bytes and where their sections sit.
+/// A corpus snapshot: its v4 bytes and where their sections sit.
 struct CorpusSnap {
     bytes: Vec<u8>,
     layout: flat::Layout,
 }
 
 /// Recompute every section CRC and the footer of a mutant of `lay`'s
-/// file, as a writer that seals whatever it wrote would. A mutant whose
-/// length changed has no layout to seal against and is left alone.
+/// file with [`flat::seal`], as a writer that seals whatever it wrote
+/// would. A mutant whose length changed has no layout to seal against
+/// and is left alone.
 fn reseal(bytes: &mut [u8], lay: &flat::Layout) -> bool {
     if bytes.len() != lay.total {
         return false;
     }
-    // Each section body runs from its start up to the 4-byte CRC in
-    // front of the next one; the header starts after "BDRM" + u16
-    // version, and the trie's CRC sits in front of the footer.
-    let starts = [
-        6,
-        lay.routers,
-        lay.addrs,
-        lay.links,
-        lay.link_arena,
-        lay.neighbor_index,
-        lay.border_index,
-        lay.trie,
-        lay.total - 4,
-    ];
-    for w in starts.windows(2) {
-        let crc_at = w[1] - 4;
-        let crc = crc32c(&bytes[w[0]..crc_at]);
-        bytes[crc_at..w[1]].copy_from_slice(&crc.to_le_bytes());
-    }
-    let foot = lay.total - 4;
-    let crc = crc32c(&bytes[..foot]);
-    bytes[foot..].copy_from_slice(&crc.to_le_bytes());
+    flat::seal(bytes, lay);
     true
 }
 

@@ -130,7 +130,7 @@ FAULT INJECTION (run / probe / degradation):
     --resume             `probe`: resume from <out>.ckpt if present
 
 SERVING (serve / query / loadgen):
-    --map-out <path>     `run`: also save the border map as a BDRM v3
+    --map-out <path>     `run`: also save the border map as a BDRM v4
                          snapshot file
     --snap-dir <dir>     `run`: publish the map into a crash-safe snapshot
                          store; `serve`: boot from the store's newest

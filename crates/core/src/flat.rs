@@ -1,29 +1,32 @@
-//! BDRM v3: the snapshot format, a flat layout that *is* the query
+//! BDRM v4: the snapshot format, a flat layout that *is* the query
 //! index.
 //!
 //! The file serializes the derived structures a [`QueryIndex`] build
-//! produces — arenas, sorted side-tables and the LPM trie — directly as
-//! fixed-width, little-endian records, so loading is read + verify +
-//! validate and a [`V3View`] answers queries straight from the file
-//! bytes, with nothing parsed or rebuilt.
+//! produces — arenas and sorted side-tables — directly as fixed-width,
+//! little-endian records, so loading is read + verify + validate and a
+//! [`V3View`] answers queries straight from the file bytes, with
+//! nothing parsed or rebuilt. ([`V3View`] and [`encode_v3`] are named
+//! for v3, the version that introduced the flat layout.)
 //!
 //! Layout (after the `"BDRM"` magic + big-endian `u16` version
 //! preamble, the body is entirely little-endian; every section is
 //! followed by the little-endian CRC32C of its body, and the file
-//! closes with a footer CRC32C over all preceding bytes):
+//! closes with a footer CRC32C over the preamble and those stored
+//! CRCs, so sealing or verifying a file hashes each byte once):
 //!
 //! ```text
 //! header         := u64 packets | u64 elapsed_ms | u32 n_routers |
 //!                   u32 n_links | u32 n_addrs | u32 n_neighbors |
-//!                   u32 n_border | u32 n_trie | u32 reserved(0)
+//!                   u32 n_border | u32 n_hosts | u32 reserved(0)
 //! routers        := router * n_routers
 //! addrs          := u32 * n_addrs            (shared interface arena)
 //! links          := link * n_links
 //! link_arena     := u32 * n_links            (link ids grouped by AS)
 //! neighbor_index := (u32 asn | u32 start | u32 end) * n_neighbors
 //! border_index   := (u32 addr | u32 link) * n_border
-//! trie           := (u32 child0 | u32 child1 | u32 router) * n_trie
-//! footer         := u32 crc32c(every preceding byte)
+//! host_index     := (u32 addr | u32 router) * n_hosts
+//! footer         := u32 crc32c(preamble | the header's and every
+//!                                section's stored crc, in file order)
 //!
 //! router := u32 owner_asn(0 if none) | u8 flags(bit0 has_owner) |
 //!           u8 heuristic(255 = none) | u8 min_hop | u8 pad(0) |
@@ -36,43 +39,43 @@
 //!
 //! Section offsets are fully determined by the header counts (every
 //! record is fixed width), so the encoding is canonical: a given
-//! [`BorderMap`] has exactly one v3 byte string, and
+//! [`BorderMap`] has exactly one v4 byte string, and
 //! `encode_v3(decode(bytes)) == bytes` holds for every file
 //! [`encode_v3`] wrote. It does not hold for every *accepted* file: a
 //! file whose checksums verify is trusted as written, because a writer
 //! able to seal CRCs could have encoded any map, and the structural
 //! pass checks what the read path relies on, not that the tables are
-//! the ones the builder would derive. (A re-sealed trie entry can name
+//! the ones the builder would derive. (A re-sealed host entry can name
 //! a different owned router than the router table lists for that
 //! address, or a border entry a higher link id than the lowest.) What
 //! holds for every accepted file is that no query panics.
 //!
-//! The trie section stores only the router-derived `/32` entries; the
-//! serving layer's configured prefix-owner overlay stays out of the
-//! file and is rebuilt as a small side trie at view-open, with the file
-//! trie winning ties exactly as a merged heap build would.
+//! The host index holds one entry per interface `/32` of an owned
+//! router, sorted by address; where several routers list an address,
+//! the lowest router id (the first to claim it) keeps it. The serving
+//! layer's configured prefix-owner overlay stays out of the file and is
+//! rebuilt as a small side trie at view-open; a host entry outranks any
+//! overlay prefix, exactly as a router `/32` does in a merged heap
+//! build.
 //!
 //! Integrity and structure are validated once, at open, in two stages:
 //! [`verify_integrity`] checks magic, version, exact length, and every
 //! checksum; [`validate_structure`] then runs the structural pass —
-//! arena ranges tile exactly, index tables are sorted, trie child links
-//! are strictly increasing (hence acyclic), and every trie `Router`
-//! entry points at an owned router — so per-query access trusts nothing
-//! beyond plain slice indexing.
+//! arena ranges tile exactly, index tables are strictly ascending, and
+//! every host entry names an in-range router with an owner — so
+//! per-query access trusts nothing beyond plain slice indexing.
 
 use crate::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 use crate::query::{BorderAnswer, LinkRec, OwnerAnswer, QueryRead, RouterRec, TrieEntry};
 use crate::snapshot::SnapshotError;
 use crate::QueryIndex;
-use bdrmap_types::integrity::crc32c;
+use bdrmap_types::integrity::{crc32c, Crc32c};
 use bdrmap_types::{addr, addr_bits, Addr, Asn, Prefix, PrefixTrie};
 
 /// Snapshot format version this module implements.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 /// Heuristic byte meaning "no heuristic recorded".
 const NO_HEURISTIC: u8 = 255;
-/// "No index" sentinel for trie children and values.
-const NONE: u32 = u32::MAX;
 
 /// Bytes of magic + big-endian version preamble.
 const PREAMBLE: usize = 6;
@@ -82,11 +85,11 @@ const ROUTER_BYTES: usize = 20;
 const LINK_BYTES: usize = 24;
 const NEIGHBOR_BYTES: usize = 12;
 const BORDER_BYTES: usize = 8;
-const TRIE_BYTES: usize = 12;
+const HOST_BYTES: usize = 8;
 /// Per-section trailing CRC32C.
 const CRC_BYTES: usize = 4;
 
-/// Section counts and byte offsets of a v3 file, derived from the
+/// Section counts and byte offsets of a v4 file, derived from the
 /// header. Offsets point at section *bodies*; each body is followed by
 /// its 4-byte CRC32C.
 #[derive(Clone, Copy, Debug)]
@@ -101,8 +104,8 @@ pub struct Layout {
     pub n_neighbors: usize,
     /// Border-index entry count.
     pub n_border: usize,
-    /// Trie node count (node 0 is the root).
-    pub n_trie: usize,
+    /// Host-index entry count: one per owned router interface address.
+    pub n_hosts: usize,
     /// Byte offset of the router section body.
     pub routers: usize,
     /// Byte offset of the address arena.
@@ -115,15 +118,15 @@ pub struct Layout {
     pub neighbor_index: usize,
     /// Byte offset of the border index.
     pub border_index: usize,
-    /// Byte offset of the trie node array.
-    pub trie: usize,
+    /// Byte offset of the host index.
+    pub host_index: usize,
     /// Total file size, footer included.
     pub total: usize,
 }
 
 impl Layout {
     fn from_counts(counts: [usize; 6]) -> Option<Layout> {
-        let [n_routers, n_links, n_addrs, n_neighbors, n_border, n_trie] = counts;
+        let [n_routers, n_links, n_addrs, n_neighbors, n_border, n_hosts] = counts;
         let mut off = PREAMBLE + HEADER_BYTES + CRC_BYTES;
         let mut section = |n: usize, width: usize| -> Option<usize> {
             let here = off;
@@ -138,29 +141,30 @@ impl Layout {
         let link_arena = section(n_links, 4)?;
         let neighbor_index = section(n_neighbors, NEIGHBOR_BYTES)?;
         let border_index = section(n_border, BORDER_BYTES)?;
-        let trie = section(n_trie, TRIE_BYTES)?;
+        let host_index = section(n_hosts, HOST_BYTES)?;
         Some(Layout {
             n_routers,
             n_links,
             n_addrs,
             n_neighbors,
             n_border,
-            n_trie,
+            n_hosts,
             routers,
             addrs,
             links,
             link_arena,
             neighbor_index,
             border_index,
-            trie,
+            host_index,
             total: off.checked_add(CRC_BYTES)?,
         })
     }
 
-    /// `(name, body_start, body_len)` for every checksummed section
-    /// after the header, in file order.
-    fn sections(&self) -> [(&'static str, usize, usize); 7] {
+    /// `(name, body_start, body_len)` for every checksummed section,
+    /// the header first, in file order.
+    fn sections(&self) -> [(&'static str, usize, usize); 8] {
         [
+            ("header", PREAMBLE, HEADER_BYTES),
             ("routers", self.routers, self.n_routers * ROUTER_BYTES),
             ("addrs", self.addrs, self.n_addrs * 4),
             ("links", self.links, self.n_links * LINK_BYTES),
@@ -175,7 +179,7 @@ impl Layout {
                 self.border_index,
                 self.n_border * BORDER_BYTES,
             ),
-            ("trie", self.trie, self.n_trie * TRIE_BYTES),
+            ("host_index", self.host_index, self.n_hosts * HOST_BYTES),
         ]
     }
 }
@@ -200,16 +204,44 @@ fn put64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a section body, then its little-endian CRC32C.
+/// Append a section body and room for its CRC, which [`seal`] fills.
 fn section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
-    let start = out.len();
     body(out);
-    let crc = crc32c(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&[0; CRC_BYTES]);
 }
 
-/// Serialize a border map to the canonical v3 flat encoding. The
-/// derived tables come from the [`QueryIndex`] builder, so a v3 file is
+/// The footer CRC: the preamble, then every stored section CRC in file
+/// order. The section CRCs already cover the bodies, so no body byte is
+/// hashed twice.
+fn footer_crc(data: &[u8], lay: &Layout) -> u32 {
+    let mut h = Crc32c::new();
+    h.update(&data[..PREAMBLE]);
+    for (_, start, len) in lay.sections() {
+        h.update(&data[start + len..start + len + CRC_BYTES]);
+    }
+    h.finalize()
+}
+
+/// Write the checksums of a file laid out as `lay`: each section's
+/// CRC32C after its body, then the footer over the preamble and those
+/// CRCs. This is the one sealing rule; [`encode_v3`] ends with it and
+/// [`verify_integrity`] checks what it wrote.
+///
+/// # Panics
+///
+/// If `data` is not exactly `lay.total` bytes long.
+pub fn seal(data: &mut [u8], lay: &Layout) {
+    assert_eq!(data.len(), lay.total, "sealing against another layout");
+    for (_, start, len) in lay.sections() {
+        let crc = crc32c(&data[start..start + len]);
+        data[start + len..start + len + CRC_BYTES].copy_from_slice(&crc.to_le_bytes());
+    }
+    let crc = footer_crc(data, lay);
+    data[lay.total - CRC_BYTES..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Serialize a border map to the canonical v4 flat encoding. The
+/// derived tables come from the [`QueryIndex`] builder, so a v4 file is
 /// byte-for-byte the structure a from-scratch heap build would produce.
 pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
     let idx = QueryIndex::build(map);
@@ -217,21 +249,33 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
     // several links, only the winning (lowest) link id is stored.
     let mut border: Vec<(Addr, u32)> = idx.border_index.clone();
     border.dedup_by_key(|&mut (a, _)| a);
+    // A build without a prefix layer holds only router `/32`s, already
+    // resolved to the first router claiming each address, and the
+    // trie's in-order walk yields them sorted by address.
+    let hosts: Vec<(Addr, u32)> = idx
+        .trie
+        .iter()
+        .filter_map(|(p, entry)| match *entry {
+            TrieEntry::Router(r) => Some((p.network(), r)),
+            TrieEntry::Owner(_) => None,
+        })
+        .collect();
     let counts = [
         ("routers", map.routers.len()),
         ("links", map.links.len()),
         ("addrs", idx.addr_arena.len()),
         ("neighbors", idx.neighbor_index.len()),
         ("border entries", border.len()),
-        ("trie nodes", idx.trie.node_count()),
+        ("host entries", hosts.len()),
     ];
     for (what, n) in counts {
-        if n > NONE as usize - 1 {
+        if u32::try_from(n).is_err() {
             return Err(SnapshotError::TooLarge(what));
         }
     }
+    let lay = Layout::from_counts(counts.map(|(_, n)| n)).ok_or(SnapshotError::TooLarge("file"))?;
 
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(lay.total);
     out.extend_from_slice(b"BDRM");
     out.extend_from_slice(&VERSION.to_be_bytes());
     section(&mut out, |o| {
@@ -287,38 +331,28 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
             put32(o, end);
         }
     });
-    section(&mut out, |o| {
-        for &(a, link) in &border {
-            put32(o, addr_bits(a));
-            put32(o, link);
-        }
-    });
-    section(&mut out, |o| {
-        for (children, value) in idx.trie.raw_nodes() {
-            put32(o, children[0].unwrap_or(NONE));
-            put32(o, children[1].unwrap_or(NONE));
-            // A build without a prefix layer stores only Router entries;
-            // Owner values never reach a v3 file.
-            debug_assert!(!matches!(value, Some(TrieEntry::Owner(_))));
-            put32(
-                o,
-                match value {
-                    Some(&TrieEntry::Router(r)) => r,
-                    _ => NONE,
-                },
-            );
-        }
-    });
-    let footer = crc32c(&out);
-    out.extend_from_slice(&footer.to_le_bytes());
+    for table in [&border, &hosts] {
+        section(&mut out, |o| {
+            for &(a, id) in table {
+                put32(o, addr_bits(a));
+                put32(o, id);
+            }
+        });
+    }
+    out.extend_from_slice(&[0; CRC_BYTES]); // footer
+    seal(&mut out, &lay);
     Ok(out)
 }
 
-/// Stage one of opening a v3 file: magic, version, exact length, and
-/// every checksum. Any version but [`VERSION`] — the retired v1/v2
-/// encodings included — is [`SnapshotError::BadVersion`]. Returns the
-/// derived [`Layout`] on success. Structural validation (the
-/// index-level trust pass) is stage two, [`validate_structure`].
+/// Stage one of opening a v4 file: magic, version, exact length, and
+/// every checksum. Any version but [`VERSION`] — the retired v1–v3
+/// encodings included — is [`SnapshotError::BadVersion`]. The header
+/// CRC is checked first, since the counts come from it; then the footer
+/// over the preamble and the stored CRCs ([`SnapshotError::FooterCrc`]
+/// when a stored CRC was damaged); then each section body against its
+/// stored CRC. Returns the derived [`Layout`] on success. Structural
+/// validation (the index-level trust pass) is stage two,
+/// [`validate_structure`].
 pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
     if data.len() < 4 || &data[..4] != b"BDRM" {
         return Err(SnapshotError::BadMagic);
@@ -348,11 +382,10 @@ pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
     if lay.total != data.len() {
         return Err(SnapshotError::Malformed);
     }
-    let body_end = data.len() - CRC_BYTES;
-    if crc32c(&data[..body_end]) != u32_at(data, body_end) {
+    if footer_crc(data, &lay) != u32_at(data, lay.total - CRC_BYTES) {
         return Err(SnapshotError::FooterCrc);
     }
-    for (name, start, len) in lay.sections() {
+    for (name, start, len) in lay.sections().into_iter().skip(1) {
         if crc32c(&data[start..start + len]) != u32_at(data, start + len) {
             return Err(SnapshotError::SectionCrc(name));
         }
@@ -360,7 +393,7 @@ pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
     Ok(lay)
 }
 
-/// A zero-copy query index over verified v3 snapshot bytes.
+/// A zero-copy query index over verified v4 snapshot bytes.
 ///
 /// Answers byte-identically to a heap [`QueryIndex`] built from the
 /// same map (and the same prefix-owner overlay): the file carries the
@@ -371,25 +404,18 @@ pub struct V3View {
     lay: Layout,
     packets: u64,
     elapsed_ms: u64,
-    /// Configured prefix-owner overlay, rebuilt per open; the file trie
-    /// wins ties, exactly as a merged heap build would.
+    /// Configured prefix-owner overlay, rebuilt per open; host entries
+    /// outrank it, exactly as router `/32`s do in a merged heap build.
     side: PrefixTrie<Asn>,
-    /// Router-valued nodes in the file trie.
-    trie_values: u32,
-    /// Side `/32` prefixes exactly shadowed by a file `Router` node —
-    /// one merged-trie node, not two, for stats parity with the heap
-    /// build.
+    /// Side `/32` prefixes exactly shadowed by a host entry — one
+    /// merged-trie entry, not two, for stats parity with the heap build.
     shadowed: u32,
 }
 
 /// Proof token returned by [`validate_structure`]: evidence the
-/// structural pass ran, carrying the one figure it derives (the file
-/// trie's router-valued node count) so view assembly in
-/// [`V3View::from_validated`] never repeats the scan.
+/// structural pass ran, which [`V3View::from_validated`] requires.
 #[derive(Clone, Copy, Debug)]
-pub struct Validated {
-    trie_values: u32,
-}
+pub struct Validated(());
 
 /// Stage two of loading: the structural validation pass over bytes
 /// whose checksums already passed [`verify_integrity`] — one linear
@@ -408,12 +434,12 @@ pub fn validate_structure(data: &[u8], lay: &Layout) -> Result<Validated, Snapsh
     let arena_sec = &d[lay.link_arena..lay.link_arena + lay.n_links * 4];
     let neigh_sec = &d[lay.neighbor_index..lay.neighbor_index + lay.n_neighbors * NEIGHBOR_BYTES];
     let border_sec = &d[lay.border_index..lay.border_index + lay.n_border * BORDER_BYTES];
-    let trie_sec = &d[lay.trie..lay.trie + lay.n_trie * TRIE_BYTES];
+    let host_sec = &d[lay.host_index..lay.host_index + lay.n_hosts * HOST_BYTES];
 
     // Routers: arena ranges tile [0, n_addrs) exactly in record
     // order; flags and pads are canonical; heuristics decode. The
-    // ownership bitmap feeds the trie pass below: later random
-    // lookups hit a few KB instead of the whole router section.
+    // ownership bitmap feeds the host pass below: its random lookups
+    // hit a few KB instead of the whole router section.
     let mut running = 0u64;
     let mut owned = vec![0u64; lay.n_routers.div_ceil(64)];
     for (i, rec) in routers_sec.chunks_exact(ROUTER_BYTES).enumerate() {
@@ -536,52 +562,27 @@ pub fn validate_structure(data: &[u8], lay: &Layout) -> Result<Validated, Snapsh
         }
     }
 
-    // Trie: child indices strictly greater than the parent's (how
-    // the arena builder allocates — monotone links cannot cycle and
-    // every walk terminates), and every Router value pointing at an
-    // in-range router *with an owner*, so the read path never has
-    // to trust a value it could not answer from. This is the
-    // biggest section, so the scan folds every check into one error
-    // accumulator instead of branching per node — the verdict is
-    // identical (Malformed), it just lands after the pass.
-    if lay.n_trie == 0 {
-        return bad;
-    }
-    if owned.is_empty() {
-        // Sentinel word so the masked ownership lookup below stays
-        // in-bounds even when a corrupt trie names routers a
-        // router-less file cannot have.
-        owned.push(0);
-    }
-    let n_trie = lay.n_trie as u32;
-    let n_routers = lay.n_routers as u32;
-    let owned_top = owned.len() - 1;
-    let mut trie_values = 0u32;
-    let mut trie_ok = true;
-    for (i, rec) in trie_sec.chunks_exact(TRIE_BYTES).enumerate() {
-        let i = i as u32;
-        let c0 = u32_at(rec, 0);
-        let c1 = u32_at(rec, 4);
-        let r = u32_at(rec, 8);
-        // Non-short-circuit `&`/`|` keep the body branchless.
-        trie_ok &= (c0 == NONE) | ((c0 > i) & (c0 < n_trie));
-        trie_ok &= (c1 == NONE) | ((c1 > i) & (c1 < n_trie));
-        let has = r != NONE;
-        // Clamped index: out-of-range router ids read *some* word,
-        // but the range check below already damns them.
-        let word = owned[(r as usize / 64).min(owned_top)];
-        trie_ok &= !has | ((r < n_routers) & (word & (1 << (r % 64)) != 0));
-        trie_values += u32::from(has);
-    }
-    if !trie_ok {
-        return bad;
+    // Host index: strictly ascending addresses (the builder keeps one
+    // router per address), and every router in range *with an owner*,
+    // so `owner_of` never meets an entry it could not answer from.
+    let mut prev_addr: Option<u32> = None;
+    for rec in host_sec.chunks_exact(HOST_BYTES) {
+        let a = u32_at(rec, 0);
+        if prev_addr.is_some_and(|p| p >= a) {
+            return bad;
+        }
+        prev_addr = Some(a);
+        let r = u32_at(rec, 4) as usize;
+        if r >= lay.n_routers || owned[r / 64] & (1 << (r % 64)) == 0 {
+            return bad;
+        }
     }
 
-    Ok(Validated { trie_values })
+    Ok(Validated(()))
 }
 
 impl V3View {
-    /// Open a v3 snapshot: verify integrity, validate structure, then
+    /// Open a v4 snapshot: verify integrity, validate structure, then
     /// assemble the view. `prefixes` is the serving layer's coarse
     /// prefix-owner overlay (may be empty).
     pub fn open(
@@ -596,13 +597,13 @@ impl V3View {
     /// Assemble a view over bytes that already passed both
     /// [`verify_integrity`] and [`validate_structure`]. This is the
     /// whole *build* cost of a reload — insert the configured overlay
-    /// prefixes into a small side trie and count the `/32`s the file
-    /// trie shadows — so it is near-zero and independent of map size,
+    /// prefixes into a small side trie and count the `/32`s the host
+    /// index shadows — so it is near-zero and independent of map size,
     /// which is the point of the flat layout.
     pub fn from_validated(
         data: Vec<u8>,
         lay: Layout,
-        ok: Validated,
+        _proof: Validated,
         prefixes: impl IntoIterator<Item = (Prefix, Asn)>,
     ) -> V3View {
         let packets = u64_at(&data, PREAMBLE);
@@ -617,36 +618,41 @@ impl V3View {
             packets,
             elapsed_ms,
             side,
-            trie_values: ok.trie_values,
             shadowed: 0,
         };
         view.shadowed = view
             .side
             .iter()
-            .filter(|(p, _)| p.len() == 32 && view.file_router_at(p.network()).is_some())
+            .filter(|(p, _)| p.len() == 32 && view.host_router(p.network()).is_some())
             .count() as u32;
         view
     }
 
-    /// Walk the file trie for an exact `/32` match.
-    fn file_router_at(&self, a: Addr) -> Option<u32> {
-        let bits = addr_bits(a);
-        let mut node = 0usize;
-        for depth in 0..32u8 {
-            let b = ((bits >> (31 - depth)) & 1) as usize;
-            node = self.trie_child(node, b)?;
+    /// Byte offset of the record keyed `key` in the `n` records of
+    /// `width` bytes at `base`, each led by its `u32` key, ascending.
+    fn find(&self, base: usize, n: usize, width: usize, key: u32) -> Option<usize> {
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if u32_at(&self.data, base + mid * width) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        self.trie_router(node)
+        let at = base + lo * width;
+        (lo < n && u32_at(&self.data, at) == key).then_some(at)
     }
 
-    fn trie_child(&self, node: usize, b: usize) -> Option<usize> {
-        let c = u32_at(&self.data, self.lay.trie + node * TRIE_BYTES + 4 * b);
-        (c != NONE).then_some(c as usize)
-    }
-
-    fn trie_router(&self, node: usize) -> Option<u32> {
-        let r = u32_at(&self.data, self.lay.trie + node * TRIE_BYTES + 8);
-        (r != NONE).then_some(r)
+    /// The router whose interface `/32` is `a`, from the host index.
+    fn host_router(&self, a: Addr) -> Option<u32> {
+        let at = self.find(
+            self.lay.host_index,
+            self.lay.n_hosts,
+            HOST_BYTES,
+            addr_bits(a),
+        )?;
+        Some(u32_at(&self.data, at + 4))
     }
 
     fn router_rec(&self, id: u32) -> Option<RouterRec> {
@@ -687,84 +693,42 @@ impl V3View {
 
 impl QueryRead for V3View {
     fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        let bits = addr_bits(a);
-        let mut node = 0usize;
-        let mut best: Option<(u8, u32)> = self.trie_router(0).map(|r| (0, r));
-        for depth in 0..32u8 {
-            let b = ((bits >> (31 - depth)) & 1) as usize;
-            match self.trie_child(node, b) {
-                Some(c) => {
-                    node = c;
-                    if let Some(r) = self.trie_router(node) {
-                        best = Some((depth + 1, r));
-                    }
-                }
-                None => break,
-            }
-        }
-        let side = self.side.lookup(a);
-        match (best, side) {
-            // A deeper overlay prefix outranks the file match; at equal
-            // depth the file's router wins, exactly as a Router entry
-            // replaces an Owner in a merged heap build.
-            (Some((len, _)), Some((p, &asn))) if p.len() > len => Some(OwnerAnswer {
-                asn,
-                prefix: p,
-                router: None,
-            }),
-            (Some((len, r)), _) => Some(OwnerAnswer {
+        // A router's `/32` is the longest match there is, so it outranks
+        // every overlay prefix, a `/32` included, exactly as a Router
+        // entry replaces an Owner in a merged heap build.
+        if let Some(r) = self.host_router(a) {
+            return Some(OwnerAnswer {
                 asn: self.router_rec(r)?.owner?,
-                prefix: Prefix::new(a, len),
+                prefix: Prefix::host(a),
                 router: Some(r),
-            }),
-            (None, Some((p, &asn))) => Some(OwnerAnswer {
-                asn,
-                prefix: p,
-                router: None,
-            }),
-            (None, None) => None,
+            });
         }
+        self.side.lookup(a).map(|(prefix, &asn)| OwnerAnswer {
+            asn,
+            prefix,
+            router: None,
+        })
     }
 
     fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        let key = addr_bits(a);
-        let (mut lo, mut hi) = (0usize, self.lay.n_border);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if u32_at(&self.data, self.lay.border_index + mid * BORDER_BYTES) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo >= self.lay.n_border
-            || u32_at(&self.data, self.lay.border_index + lo * BORDER_BYTES) != key
-        {
-            return None;
-        }
-        self.border_answer(u32_at(
-            &self.data,
-            self.lay.border_index + lo * BORDER_BYTES + 4,
-        ))
+        let at = self.find(
+            self.lay.border_index,
+            self.lay.n_border,
+            BORDER_BYTES,
+            addr_bits(a),
+        )?;
+        self.border_answer(u32_at(&self.data, at + 4))
     }
 
     fn neighbor_links(&self, asn: Asn) -> Vec<u32> {
-        let (mut lo, mut hi) = (0usize, self.lay.n_neighbors);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if u32_at(&self.data, self.lay.neighbor_index + mid * NEIGHBOR_BYTES) < asn.0 {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo >= self.lay.n_neighbors {
+        let Some(at) = self.find(
+            self.lay.neighbor_index,
+            self.lay.n_neighbors,
+            NEIGHBOR_BYTES,
+            asn.0,
+        ) else {
             return Vec::new();
-        }
-        let at = self.lay.neighbor_index + lo * NEIGHBOR_BYTES;
-        if u32_at(&self.data, at) != asn.0 {
-            return Vec::new();
-        }
+        };
         let (start, end) = (
             u32_at(&self.data, at + 4) as usize,
             u32_at(&self.data, at + 8) as usize,
@@ -811,10 +775,10 @@ impl QueryRead for V3View {
         self.lay.n_links as u32
     }
 
-    /// Merged trie entries (file `/32`s plus overlay prefixes, counting
+    /// Merged trie entries (host `/32`s plus overlay prefixes, counting
     /// a shadowed pair once) — the heap build's figure.
     fn num_prefixes(&self) -> u32 {
-        self.trie_values + self.side.len() as u32 - self.shadowed
+        (self.lay.n_hosts + self.side.len()) as u32 - self.shadowed
     }
 
     fn num_prefix_owners(&self) -> u32 {

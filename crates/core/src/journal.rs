@@ -630,9 +630,10 @@ fn encode_checkpoint(ckpt: &JournalCheckpoint) -> Vec<u8> {
         w.put_u64(*last_refresh);
         w.put_bytes32(&trace_to_vec(tr));
     }
-    let crc = crc32c(&w.clone().into_vec());
-    w.put_u32(crc);
-    w.into_vec()
+    let mut out = w.into_vec();
+    let crc = crc32c(&out);
+    out.extend_from_slice(&crc.to_be_bytes());
+    out
 }
 
 fn read_checkpoint(vfs: &Vfs, path: &Path) -> Result<JournalCheckpoint, JournalError> {

@@ -90,10 +90,10 @@ pub struct BorderAnswer {
 
 /// The immutable query index. See the module docs for layout.
 ///
-/// The fields are crate-visible so the v3 flat codec
-/// ([`crate::flat`]) can serialize exactly the structures this builder
-/// produces — a v3 file is these tables, laid out as fixed-width
-/// records.
+/// The fields are crate-visible so the flat codec ([`crate::flat`])
+/// can serialize exactly the structures this builder produces — a v4
+/// file is these tables, laid out as fixed-width records, with the
+/// trie's router `/32`s as a sorted host index.
 pub struct QueryIndex {
     pub(crate) routers: Vec<RouterRec>,
     pub(crate) addr_arena: Vec<Addr>,

@@ -2,17 +2,17 @@
 //!
 //! A finished inference ([`BorderMap`]) is the artifact the serving
 //! subsystem loads and hot-swaps; this module is its file format's
-//! front door: one encoding, BDRM v3, the flat zero-copy layout
+//! front door: one encoding, BDRM v4, the flat zero-copy layout
 //! documented in [`crate::flat`], plus atomic save/load, so a
 //! probe+infer cycle can publish a snapshot file that bdrmapd picks up
 //! with a `reload` command.
 //!
 //! Every section carries a CRC32C of its body and the file closes with
-//! a footer checksum, so a bit-flipped or truncated file is rejected
-//! with a typed error instead of decoding into garbage. The earlier
-//! parse-and-rebuild encodings (versions 1 and 2) are no longer read:
-//! their preambles are rejected as [`SnapshotError::BadVersion`], like
-//! any other version this reader does not implement.
+//! a footer checksum over those CRCs, so a bit-flipped or truncated
+//! file is rejected with a typed error instead of decoding into
+//! garbage. Earlier encodings (versions 1–3) are no longer read: their
+//! preambles are rejected as [`SnapshotError::BadVersion`], like any
+//! other version this reader does not implement.
 
 use crate::flat::{self, V3View};
 use crate::output::BorderMap;
@@ -55,13 +55,13 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serialize a border map to the canonical v3 flat encoding; see
+/// Serialize a border map to the canonical v4 flat encoding; see
 /// [`crate::flat`].
 pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
     flat::encode_v3(map)
 }
 
-/// Parse a v3 snapshot back into a [`BorderMap`]: integrity and
+/// Parse a v4 snapshot back into a [`BorderMap`]: integrity and
 /// structural validation, then reconstruction. Rejects every other
 /// version as [`SnapshotError::BadVersion`].
 pub fn decode(data: &[u8]) -> Result<BorderMap, SnapshotError> {
@@ -153,8 +153,9 @@ mod tests {
         assert_eq!(encode_v3(&back).unwrap(), bytes);
     }
 
-    /// A v3 file whose version field claims 1 or 2 is refused by every
-    /// reader, and a store holding one quarantines it and rolls back.
+    /// A current file whose version field claims 1, 2 or 3 is refused
+    /// by every reader, and a store holding one quarantines it and rolls
+    /// back.
     #[test]
     fn v1_and_v2_preambles_are_rejected_and_quarantined() {
         let dir =
@@ -162,7 +163,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let store = crate::SnapStore::open(&dir).unwrap();
         let good = store.publish(&sample()).unwrap();
-        for old in [1u16, 2] {
+        for old in [1u16, 2, 3] {
             let mut bytes = encode_v3(&sample()).unwrap();
             bytes[4..6].copy_from_slice(&old.to_be_bytes());
             assert_eq!(decode(&bytes).err(), Some(SnapshotError::BadVersion(old)));
@@ -243,10 +244,13 @@ mod tests {
     }
 
     /// Flips in a section body are reported as checksum failures, not
-    /// generic malformation, when the structure still parses.
+    /// generic malformation, when the structure still parses: a body
+    /// flip fails its section's CRC, and a flip in a stored CRC fails
+    /// the footer that seals them.
     #[test]
     fn crc_failures_are_typed() {
         let full = encode_v3(&sample()).unwrap();
+        let lay = flat::verify_integrity(&full).unwrap();
         // The header's own CRC is checked first: a flip in the packets
         // field lands there.
         let mut flipped = full.clone();
@@ -255,19 +259,28 @@ mod tests {
             decode(&flipped).err(),
             Some(SnapshotError::SectionCrc("header"))
         );
-        // A flip in the router table trips the footer...
-        let routers = flat::verify_integrity(&full).unwrap().routers;
+        // A flip in the router table fails that section's CRC...
         let mut flipped = full.clone();
-        flipped[routers] ^= 1;
-        assert_eq!(decode(&flipped).err(), Some(SnapshotError::FooterCrc));
-        // ...and, with the footer repaired, the section CRC.
-        let body_end = flipped.len() - 4;
-        let refreshed = bdrmap_types::integrity::crc32c(&flipped[..body_end]).to_le_bytes();
-        flipped[body_end..].copy_from_slice(&refreshed);
+        flipped[lay.routers] ^= 1;
         assert_eq!(
             decode(&flipped).err(),
             Some(SnapshotError::SectionCrc("routers"))
         );
+        // ...and once re-sealed, it is a valid file again (the min_hop
+        // field is free-form).
+        let mut hop = full.clone();
+        hop[lay.routers + 6] ^= 1;
+        flat::seal(&mut hop, &lay);
+        assert_eq!(decode(&hop).unwrap().routers[0].min_hop, 0);
+        // A flip in the routers' stored CRC fails the footer.
+        let routers_crc = lay.routers + lay.n_routers * 20;
+        let mut flipped = full.clone();
+        flipped[routers_crc] ^= 1;
+        assert_eq!(decode(&flipped).err(), Some(SnapshotError::FooterCrc));
+        // So does a flip in the footer itself.
+        let mut flipped = full.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert_eq!(decode(&flipped).err(), Some(SnapshotError::FooterCrc));
     }
 
     #[test]
@@ -285,8 +298,8 @@ mod tests {
     /// Regression: the retired v1/v2 router record stored interface
     /// counts as `u16`, so a 70k-interface router was silently
     /// truncated to `70000 % 65536` addresses — and the CRCs vouched for
-    /// the wrong file. v3's u32 counts encode and round-trip the full
-    /// set.
+    /// the wrong file. The flat layout's u32 counts encode and
+    /// round-trip the full set.
     #[test]
     fn oversized_router_round_trips_through_v3() {
         let n = 70_000u32;

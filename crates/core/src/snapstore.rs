@@ -18,7 +18,7 @@
 //! The load path is where the crash safety pays off:
 //! [`load_verified`](SnapStore::load_verified) starts from the manifest
 //! generation and walks *backwards* on failure. A snapshot that fails
-//! verification (bad magic, a version other than v3, failed CRC,
+//! verification (bad magic, a version other than v4, failed CRC,
 //! truncation, a structural fault) is quarantined into
 //! `corrupt/` — preserving the evidence without leaving a landmine on
 //! the load path — and the previous generation is tried, so a single
@@ -165,7 +165,7 @@ impl SnapStore {
     }
 
     /// Kept so callers written when the store could publish older
-    /// formats (the `perfbench/` workloads) still compile. v3 is the
+    /// formats (the `perfbench/` workloads) still compile. v4 is the
     /// only format, so `version` must be [`flat::VERSION`]; nothing is
     /// stored.
     pub fn with_snapshot_version(self, version: u16) -> SnapStore {

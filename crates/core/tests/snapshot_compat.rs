@@ -1,12 +1,13 @@
 //! Snapshot compatibility: every query answer bdrmapd serves from the
-//! zero-copy [`V3View`] over BDRM v3 bytes is byte-identical to the
+//! zero-copy [`V3View`] over BDRM v4 bytes is byte-identical to the
 //! heap [`QueryIndex`] oracle built from the same map — over a real
 //! pipeline-produced map and over crafted corner cases, with and
 //! without a prefix-owner overlay. The hostile half of the suite pins
 //! the reader's blast radius: truncation at every length and every
 //! single-bit flip (the version preamble included) are rejected with an
-//! error, never a panic, and a file whose trie points at an ownerless
-//! router (the old read-path `expect`) is refused at open.
+//! error, never a panic, and a re-sealed file whose host index breaks
+//! its contract (an ownerless or out-of-range router, a repeated or
+//! descending address) is refused at open.
 
 use bdrmap_bgp::{CollectorView, InferredRelationships};
 use bdrmap_core::{
@@ -16,7 +17,6 @@ use bdrmap_core::{
 use bdrmap_dataplane::DataPlane;
 use bdrmap_probe::{run_traces, EngineConfig, ProbeEngine, RunOptions};
 use bdrmap_topo::{generate, AsKind, TopoConfig};
-use bdrmap_types::integrity::crc32c;
 use bdrmap_types::{addr, addr_bits, Asn, Prefix};
 use std::sync::Arc;
 
@@ -62,8 +62,9 @@ fn pipeline_map(seed: u64) -> (BorderMap, Input) {
 }
 
 /// A small hand-built map with every corner the codecs care about: an
-/// ownerless router, a silent neighbor, a missing near_addr, and one
-/// interface fronting several links.
+/// ownerless router, a silent neighbor, a missing near_addr, one
+/// interface fronting several links, and one address (10.0.0.9) that
+/// two owned routers both claim.
 fn crafted_map() -> BorderMap {
     BorderMap {
         routers: vec![
@@ -76,7 +77,7 @@ fn crafted_map() -> BorderMap {
             },
             InferredRouter {
                 addrs: vec![a("203.0.113.1"), a("203.0.113.5")],
-                other_addrs: vec![],
+                other_addrs: vec![a("10.0.0.9")],
                 owner: Some(Asn(200)),
                 heuristic: Some(Heuristic::OneNet),
                 min_hop: 2,
@@ -238,6 +239,11 @@ fn view_matches_the_heap_oracle_on_the_crafted_map() {
     let bare = QueryIndex::build(&map);
     let bare_view = V3View::open(snapshot::encode_v3(&map).unwrap(), std::iter::empty()).unwrap();
     assert_same_answers(&bare, &bare_view, &map, "crafted bare view");
+    // Routers 0 and 1 both list 10.0.0.9: the lowest router id wins.
+    for (tag, got) in [("oracle", &reference as &dyn QueryRead), ("view", &view)] {
+        let owner = got.owner_of(a("10.0.0.9")).expect("a claimed address");
+        assert_eq!((owner.router, owner.asn), (Some(0), Asn(100)), "{tag}");
+    }
 }
 
 #[test]
@@ -318,29 +324,33 @@ fn v3_single_bit_flips_are_rejected() {
     }
 }
 
+fn get32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+}
+
+fn put32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
 #[test]
-fn trie_entry_at_ownerless_router_is_rejected_at_open() {
-    // Two routers: 0 owned, 1 ownerless. The encoder only emits trie
-    // entries for owned routers, so rewrite one to point at router 1 —
-    // with section + footer CRCs recomputed so only the structural
-    // validation pass can catch it. The old read path `expect`ed the
-    // owner at query time; the contract now is rejection at open.
+fn bad_host_entries_are_rejected_at_open() {
+    // Routers 0 and 2 are owned, router 1 is not, so the host index
+    // holds (10.0.0.1 → 0) and (10.0.0.3 → 2). Each case breaks one
+    // rule the read path relies on and re-seals the file, so only the
+    // structural pass can catch it. The contract is rejection at open,
+    // never a panic or a wrong answer at query time.
+    let router = |x: &str, owner: Option<Asn>| InferredRouter {
+        addrs: vec![a(x)],
+        other_addrs: vec![],
+        owner,
+        heuristic: owner.map(|_| Heuristic::VpInternal),
+        min_hop: 1,
+    };
     let map = BorderMap {
         routers: vec![
-            InferredRouter {
-                addrs: vec![a("10.0.0.1")],
-                other_addrs: vec![],
-                owner: Some(Asn(100)),
-                heuristic: Some(Heuristic::VpInternal),
-                min_hop: 1,
-            },
-            InferredRouter {
-                addrs: vec![a("10.0.0.2")],
-                other_addrs: vec![],
-                owner: None,
-                heuristic: None,
-                min_hop: 2,
-            },
+            router("10.0.0.1", Some(Asn(100))),
+            router("10.0.0.2", None),
+            router("10.0.0.3", Some(Asn(300))),
         ],
         links: vec![InferredLink {
             near: 0,
@@ -355,31 +365,34 @@ fn trie_entry_at_ownerless_router_is_rejected_at_open() {
     };
     let bytes = snapshot::encode_v3(&map).unwrap();
     let lay = flat::verify_integrity(&bytes).unwrap();
+    assert_eq!(lay.n_hosts, 2);
+    let (e0, e1) = (lay.host_index, lay.host_index + 8);
+    assert_eq!(get32(&bytes, e0 + 4), 0);
 
-    let mut evil = bytes.clone();
-    let node = (0..lay.n_trie)
-        .find(|i| {
-            let at = lay.trie + i * 12 + 8;
-            u32::from_le_bytes(evil[at..at + 4].try_into().unwrap()) != u32::MAX
-        })
-        .expect("an owned router must have a trie entry");
-    let at = lay.trie + node * 12 + 8;
-    evil[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
-
-    // Re-seal the file: trie section CRC, then the whole-file footer.
-    let trie_end = lay.trie + lay.n_trie * 12;
-    let crc = crc32c(&evil[lay.trie..trie_end]);
-    evil[trie_end..trie_end + 4].copy_from_slice(&crc.to_le_bytes());
-    let foot = evil.len() - 4;
-    let crc = crc32c(&evil[..foot]);
-    evil[foot..].copy_from_slice(&crc.to_le_bytes());
-
-    // Checksums now pass — the integrity stage must accept the bytes —
-    // but the structural stage refuses the file, and no panic escapes.
-    assert!(flat::verify_integrity(&evil).is_ok());
-    assert!(matches!(
-        V3View::open(evil.clone(), std::iter::empty()),
-        Err(snapshot::SnapshotError::Malformed)
-    ));
-    assert!(snapshot::decode(&evil).is_err());
+    type Corrupt = fn(&mut [u8], usize, usize);
+    let cases: [(&str, Corrupt); 4] = [
+        ("an ownerless router", |b, e0, _| put32(b, e0 + 4, 1)),
+        ("a router id past n_routers", |b, e0, _| {
+            put32(b, e0 + 4, u32::MAX)
+        }),
+        ("a repeated address", |b, e0, e1| put32(b, e1, get32(b, e0))),
+        ("a descending address", |b, e0, e1| {
+            let (x, y) = (get32(b, e0), get32(b, e1));
+            put32(b, e0, y);
+            put32(b, e1, x);
+        }),
+    ];
+    for (what, corrupt) in cases {
+        let mut evil = bytes.clone();
+        corrupt(&mut evil, e0, e1);
+        flat::seal(&mut evil, &lay);
+        assert!(flat::verify_integrity(&evil).is_ok(), "{what}: sealed");
+        let opened = std::panic::catch_unwind(|| V3View::open(evil.clone(), std::iter::empty()));
+        assert!(
+            matches!(opened, Ok(Err(snapshot::SnapshotError::Malformed))),
+            "{what}: must be refused at open"
+        );
+        let decoded = std::panic::catch_unwind(|| snapshot::decode(&evil));
+        assert!(matches!(decoded, Ok(Err(_))), "{what}: decode");
+    }
 }

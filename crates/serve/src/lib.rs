@@ -4,8 +4,8 @@
 //! this crate makes that artifact *queryable as a service*:
 //!
 //! - [`server`] — a daemon that serves a border map as a zero-copy
-//!   [`V3View`](bdrmap_core::V3View) over BDRM v3 snapshot bytes (an
-//!   in-process map is encoded as v3 first) and answers
+//!   [`V3View`](bdrmap_core::V3View) over BDRM v4 snapshot bytes (an
+//!   in-process map is encoded as v4 first) and answers
 //!   owner-of-address, border-router-of-link, and links-of-neighbor-AS
 //!   queries over a length-prefixed binary TCP protocol, with overload
 //!   shedding at a fixed admission budget. Two interchangeable

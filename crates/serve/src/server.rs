@@ -3,8 +3,8 @@
 //! A [`Server`] owns a TCP listener, a bounded accept queue, and a
 //! fixed pool of worker threads. Each worker serves one connection at a
 //! time, answering length-prefixed [`proto`](crate::proto) frames from
-//! an immutable [`V3View`] over BDRM v3 snapshot bytes. A server started
-//! from an in-process [`BorderMap`] encodes it as v3 first, so every
+//! an immutable [`V3View`] over BDRM v4 snapshot bytes. A server started
+//! from an in-process [`BorderMap`] encodes it as v4 first, so every
 //! server answers through the same view. When the accept queue is full
 //! the acceptor *sheds*: the connection gets a single `Overload` frame
 //! and is closed, so saturation degrades into fast rejections instead
@@ -469,7 +469,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Encode `map` as a v3 snapshot and serve it through
+    /// Encode `map` as a v4 snapshot and serve it through
     /// [`start_from_bytes`](Server::start_from_bytes) — the read path
     /// every server answers through.
     pub fn start(map: &BorderMap, cfg: ServeConfig) -> io::Result<Server> {
@@ -478,7 +478,7 @@ impl Server {
         Server::start_from_bytes(bytes, cfg)
     }
 
-    /// Verify v3 snapshot `bytes` once, open a view over them, and start
+    /// Verify v4 snapshot `bytes` once, open a view over them, and start
     /// serving it.
     pub fn start_from_bytes(bytes: Vec<u8>, cfg: ServeConfig) -> io::Result<Server> {
         let view = V3View::open(bytes, cfg.prefix_owners.iter().copied())

@@ -179,21 +179,6 @@ impl<T> PrefixTrie<T> {
         out
     }
 
-    /// Number of arena nodes, including valueless interior nodes.
-    /// Node 0 is always the root.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Raw arena nodes in storage order: `(children, value)` per node.
-    /// Child indices always exceed their parent's index (children are
-    /// appended after the parent exists), so the array is acyclic by
-    /// construction — flat serializations can validate links with a
-    /// single monotonicity check.
-    pub fn raw_nodes(&self) -> impl Iterator<Item = ([Option<u32>; 2], Option<&T>)> {
-        self.nodes.iter().map(|n| (n.children, n.value.as_ref()))
-    }
-
     /// Iterate over all `(prefix, value)` pairs in lexicographic
     /// (network address, then length) order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
