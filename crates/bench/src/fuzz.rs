@@ -1,5 +1,5 @@
-//! Seeded structure-aware fuzzing of the BDRM v4 snapshot reader and
-//! the bdrmapd wire protocol.
+//! Seeded structure-aware fuzzing of the BDRM v4 snapshot reader, the
+//! bdrmapd wire protocol and the trace-store codec.
 //!
 //! No external fuzzing engine: a splitmix64 generator (the same
 //! pattern as the dataplane fault layer) drives every draw, so a run
@@ -32,9 +32,14 @@
 //! Raw frame reading ([`read_frame`]) gets its own hostile stream
 //! cases (lying length prefixes, truncated bodies) with the same
 //! no-panic requirement.
+//!
+//! The trace-store codec ([`bdrmap_probe::store`]) is held to both
+//! properties with no exemption: it is what `bdrmap infer --in`, probe
+//! checkpoints, journal records and journal checkpoints read back.
 
 use bdrmap_core::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 use bdrmap_core::{flat, snapshot, QueryRead, V3View};
+use bdrmap_probe::{store, ProbeBudget, Trace, TraceCollection, TraceHop, TraceStop};
 use bdrmap_serve::{answer, Request, Response};
 use bdrmap_types::wire::read_frame;
 use bdrmap_types::{addr, Addr, Asn, Prefix};
@@ -65,6 +70,10 @@ pub struct FuzzReport {
     pub wire_cases: u64,
     /// Hostile raw-frame streams fed to `read_frame`.
     pub frame_cases: u64,
+    /// Mutants aimed at the trace-store codec.
+    pub trace_store_cases: u64,
+    /// Trace-store mutants the codec accepted.
+    pub trace_store_accepted: u64,
     /// Mutants the decoder accepted.
     pub accepted: u64,
     /// Mutants the decoder rejected with a typed error.
@@ -85,12 +94,14 @@ impl FuzzReport {
     /// Stable JSON for CI logs.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"fuzz\",\n  \"schema\": 1,\n  \"iterations\": {},\n  \"snapshot_cases\": {},\n  \"snapshot_accepted\": {},\n  \"wire_cases\": {},\n  \"frame_cases\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \"panics\": {},\n  \"canonical_violations\": {}\n}}\n",
+            "{{\n  \"bench\": \"fuzz\",\n  \"schema\": 1,\n  \"iterations\": {},\n  \"snapshot_cases\": {},\n  \"snapshot_accepted\": {},\n  \"wire_cases\": {},\n  \"frame_cases\": {},\n  \"trace_store_cases\": {},\n  \"trace_store_accepted\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \"panics\": {},\n  \"canonical_violations\": {}\n}}\n",
             self.iterations,
             self.snapshot_cases,
             self.snapshot_accepted,
             self.wire_cases,
             self.frame_cases,
+            self.trace_store_cases,
+            self.trace_store_accepted,
             self.accepted,
             self.rejected,
             self.panics,
@@ -239,6 +250,71 @@ fn wire_corpus() -> Vec<Vec<u8>> {
         Response::Error("reload failed after 3 attempt(s)".into()).encode(),
     ]);
     corpus
+}
+
+/// Trace collections covering every hop shape (gap, time-exceeded,
+/// other-ICMP, both flags), every stop reason, and the empty store.
+fn trace_store_corpus() -> Vec<Vec<u8>> {
+    let hop = |ttl: u8, a: Option<u32>, te: bool, oi: bool| TraceHop {
+        ttl,
+        addr: a.map(addr),
+        time_exceeded: te,
+        other_icmp: oi,
+        ipid: ttl as u16 * 257,
+    };
+    let tr = |dst: u32, stop: TraceStop, hops: Vec<TraceHop>| Trace {
+        dst: addr(dst),
+        target_as: Asn(64500 + dst % 7),
+        hops,
+        stop,
+    };
+    let full = TraceCollection {
+        traces: vec![
+            tr(
+                0x0A01_0101,
+                TraceStop::Completed,
+                vec![
+                    hop(1, Some(0x0A00_0001), true, false),
+                    hop(2, None, false, false),
+                    hop(3, Some(0x0A00_0009), false, true),
+                    hop(4, Some(0x0A00_000D), true, true),
+                ],
+            ),
+            tr(0x0A02_0202, TraceStop::GapLimit, vec![]),
+            tr(
+                0x0A03_0303,
+                TraceStop::StopSet,
+                vec![hop(1, Some(0x0A00_0001), true, false)],
+            ),
+            tr(
+                0x0A04_0404,
+                TraceStop::MaxTtl,
+                vec![hop(255, None, false, false)],
+            ),
+        ],
+        budget: ProbeBudget {
+            packets: 4321,
+            elapsed_ms: 98_765,
+        },
+    };
+    [TraceCollection::default(), full]
+        .iter()
+        .map(|c| store::encode(c).to_vec())
+        .collect()
+}
+
+/// Decode a trace-store mutant and enforce both properties: no panic,
+/// and an accepted store re-encodes to exactly its own bytes.
+fn check_trace_store(bytes: &[u8]) -> Outcome {
+    let decoded = catch_unwind(AssertUnwindSafe(|| {
+        store::decode(bytes::Bytes::copy_from_slice(bytes))
+    }));
+    match decoded {
+        Err(_) => Outcome::Panicked,
+        Ok(Err(_)) => Outcome::Rejected,
+        Ok(Ok(coll)) if store::encode(&coll)[..] == *bytes => Outcome::Accepted,
+        Ok(Ok(_)) => Outcome::NotCanonical,
+    }
 }
 
 /// Apply one structure-aware mutation. Draw order is fixed, so the
@@ -454,7 +530,7 @@ fn check_frame(bytes: &[u8]) -> Outcome {
     }
 }
 
-/// Run `iters` seeded mutants across all three targets.
+/// Run `iters` seeded mutants across all four targets.
 pub fn run(seed: u64, iters: u64) -> FuzzReport {
     let mut rng = seed ^ 0xbd2_3a93;
     let corpus = snapshot_corpus();
@@ -468,10 +544,11 @@ pub fn run(seed: u64, iters: u64) -> FuzzReport {
         })
         .collect();
     let wires = wire_corpus();
+    let stores = trace_store_corpus();
     let mut report = FuzzReport::default();
     for _ in 0..iters {
         report.iterations += 1;
-        let outcome = match splitmix64(&mut rng) % 5 {
+        let outcome = match splitmix64(&mut rng) % 6 {
             // Snapshot reader gets the biggest share: it guards
             // persistence, where corruption is stickiest.
             0 | 1 => {
@@ -490,7 +567,7 @@ pub fn run(seed: u64, iters: u64) -> FuzzReport {
                 let base = &wires[(splitmix64(&mut rng) as usize) % wires.len()];
                 check_wire(&mutate(base, &mut rng))
             }
-            _ => {
+            4 => {
                 report.frame_cases += 1;
                 // Frames: mutate a framed wire payload so length
                 // prefixes and bodies both get mangled.
@@ -498,6 +575,15 @@ pub fn run(seed: u64, iters: u64) -> FuzzReport {
                 let mut framed = (base.len() as u32).to_be_bytes().to_vec();
                 framed.extend_from_slice(base);
                 check_frame(&mutate(&framed, &mut rng))
+            }
+            _ => {
+                report.trace_store_cases += 1;
+                let base = &stores[(splitmix64(&mut rng) as usize) % stores.len()];
+                let outcome = check_trace_store(&mutate(base, &mut rng));
+                if matches!(outcome, Outcome::Accepted | Outcome::NotCanonical) {
+                    report.trace_store_accepted += 1;
+                }
+                outcome
             }
         };
         match outcome {
@@ -523,6 +609,9 @@ mod tests {
         for bytes in wire_corpus() {
             assert!(Request::decode(&bytes).is_ok() || Response::decode(&bytes).is_ok());
         }
+        for bytes in trace_store_corpus() {
+            assert!(matches!(check_trace_store(&bytes), Outcome::Accepted));
+        }
     }
 
     #[test]
@@ -539,6 +628,10 @@ mod tests {
         assert!(
             a.snapshot_cases > 0 && a.wire_cases > 0 && a.frame_cases > 0,
             "all targets exercised: {a:?}"
+        );
+        assert!(
+            a.trace_store_cases > 0 && a.trace_store_accepted > 0,
+            "trace-store mutants reach acceptance: {a:?}"
         );
     }
 

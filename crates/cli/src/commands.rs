@@ -1738,11 +1738,19 @@ pub fn watch(args: &Args) -> Result<(), ArgError> {
             },
         );
 
+        // Whole microseconds, rounded down: the phases then never add up
+        // to more than `pass_ms` as printed.
+        let phase_us: Vec<String> = report
+            .phases
+            .named()
+            .iter()
+            .map(|(name, d)| format!("\"{name}\": {}", d.as_micros()))
+            .collect();
         rows.push(format!(
             "    {{\"pass\": {}, \"traces\": {}, \"added\": {}, \"replaced\": {}, \
              \"retracted\": {}, \"routers\": {}, \"dirty\": {}, \"reinferred\": {}, \
              \"reused\": {}, \"alias_cache_hits\": {}, \"alias_cache_misses\": {}, \
-             \"alias_packets\": {}, \"pass_ms\": {:.3}, \"full_ms\": {}, \
+             \"alias_packets\": {}, \"pass_ms\": {:.3}, \"phase_us\": {{{}}}, \"full_ms\": {}, \
              \"identical\": {}, \"generation\": {}, \"journal_lsn\": {}}}",
             report.pass,
             report.traces,
@@ -1757,6 +1765,7 @@ pub fn watch(args: &Args) -> Result<(), ArgError> {
             report.alias_cache_misses,
             report.alias_packets,
             report.pass_ms,
+            phase_us.join(", "),
             full_ms.map_or("null".into(), |f: f64| format!("{f:.3}")),
             identical.map_or("null".into(), |b: bool| b.to_string()),
             generation.map_or("null".into(), |g| g.to_string()),

@@ -23,7 +23,7 @@ use crate::input::{IpMapper, Mapping};
 use bdrmap_probe::{AliasVerdict, Prober, ProberShard, ShardBudget, Trace, TASK_BUCKETS};
 use bdrmap_types::wire::WireWriter;
 use bdrmap_types::{addr_bits, Addr};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 
 /// Tunables for [`resolve`].
@@ -246,10 +246,75 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
+/// The trace-derived inputs of alias resolution, as refcounted
+/// multisets so they can be kept up to date one trace at a time: every
+/// time-exceeded address (the Mercator candidates) and every window of
+/// two consecutive time-exceeded addresses (the prefixscan segments
+/// and, grouped by their first address, the Ally candidate sets).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct AliasCandidates {
+    te_addrs: BTreeMap<Addr, u32>,
+    windows: BTreeMap<(Addr, Addr), u32>,
+}
+
+impl AliasCandidates {
+    /// The candidates of a trace set.
+    pub(crate) fn from_traces<'t>(traces: impl IntoIterator<Item = &'t Trace>) -> AliasCandidates {
+        let mut c = AliasCandidates::default();
+        for tr in traces {
+            c.add(tr);
+        }
+        c
+    }
+
+    /// Count `tr`'s candidates in.
+    pub(crate) fn add(&mut self, tr: &Trace) {
+        let mut prev = None;
+        for a in tr.te_addrs() {
+            *self.te_addrs.entry(a).or_insert(0) += 1;
+            if let Some(p) = prev {
+                *self.windows.entry((p, a)).or_insert(0) += 1;
+            }
+            prev = Some(a);
+        }
+    }
+
+    /// Count `tr`'s candidates out again; `tr` must have been added.
+    pub(crate) fn remove(&mut self, tr: &Trace) {
+        fn dec<K: Ord>(m: &mut BTreeMap<K, u32>, k: K) {
+            let n = m.get_mut(&k).expect("removing a candidate never added");
+            *n -= 1;
+            if *n == 0 {
+                m.remove(&k);
+            }
+        }
+        let mut prev = None;
+        for a in tr.te_addrs() {
+            dec(&mut self.te_addrs, a);
+            if let Some(p) = prev {
+                dec(&mut self.windows, (p, a));
+            }
+            prev = Some(a);
+        }
+    }
+}
+
 /// Run the alias-resolution phase over collected traces.
 pub fn resolve<P: Prober + ?Sized, M: IpMapper>(
     prober: &P,
     traces: &[Trace],
+    ip2as: &M,
+    cfg: &AliasConfig,
+) -> AliasData {
+    resolve_candidates(prober, &AliasCandidates::from_traces(traces), ip2as, cfg)
+}
+
+/// [`resolve`] over the candidates of a trace set rather than the
+/// traces themselves. Jobs are derived in canonical (address-sorted)
+/// order, so the outcome depends only on the candidate sets.
+pub(crate) fn resolve_candidates<P: Prober + ?Sized, M: IpMapper>(
+    prober: &P,
+    cands: &AliasCandidates,
     ip2as: &M,
     cfg: &AliasConfig,
 ) -> AliasData {
@@ -259,33 +324,21 @@ pub fn resolve<P: Prober + ?Sized, M: IpMapper>(
     let mut hash_shards: Vec<ShardBudget> = Vec::new();
     let par = cfg.parallelism.max(1);
 
-    // --- Candidate generation (sequential, canonical order). ----------
+    // --- Job derivation (sequential, canonical order). ----------------
     // Mercator: every distinct time-exceeded address.
-    let mut te_addrs: BTreeSet<Addr> = BTreeSet::new();
-    for tr in traces {
-        te_addrs.extend(tr.te_addrs());
-    }
-    let merc_jobs: Vec<(u64, Addr)> = te_addrs
-        .into_iter()
-        .map(|a| (task_id(TaskKind::Mercator, a, a), a))
+    let merc_jobs: Vec<(u64, Addr)> = cands
+        .te_addrs
+        .keys()
+        .map(|&a| (task_id(TaskKind::Mercator, a, a), a))
         .collect();
 
     // Prefixscan: each (prev, cur) adjacency where cur might be a
     // far-side interface. The same pair discovered from multiple traces
     // or in both directions is normalised through `key` and tested once.
-    let mut segments: BTreeSet<(Addr, Addr)> = BTreeSet::new();
-    for tr in traces {
-        let hops: Vec<Addr> = tr.te_addrs().collect();
-        for w in hops.windows(2) {
-            if w[0] != w[1] {
-                segments.insert((w[0], w[1]));
-            }
-        }
-    }
     let mut seen: HashSet<(Addr, Addr)> = HashSet::new();
-    stats.prefixscan_candidates = segments.len() as u64;
     let mut pf_jobs: Vec<(u64, (Addr, Addr))> = Vec::new();
-    for &(prev, cur) in &segments {
+    for &(prev, cur) in cands.windows.keys().filter(|(a, b)| a != b) {
+        stats.prefixscan_candidates += 1;
         if cfg.staged && !seen.insert(AliasData::key(prev, cur)) {
             stats.prefixscan_deduped += 1;
             continue;
@@ -347,34 +400,17 @@ pub fn resolve<P: Prober + ?Sized, M: IpMapper>(
     }
 
     // --- Stage 3: Ally on candidate sets sharing a predecessor. -------
-    // Addresses that follow the same previous hop toward the same target
-    // AS are candidates for being interfaces of one router (load-balanced
-    // paths, virtual routers — the Figure 13 scenario).
-    let mut cand_sets: BTreeMap<(Addr, bdrmap_types::Asn), BTreeSet<Addr>> = BTreeMap::new();
-    for tr in traces {
-        let hops: Vec<Addr> = tr.te_addrs().collect();
-        for w in hops.windows(2) {
-            cand_sets
-                .entry((w[0], tr.target_as))
-                .or_default()
-                .insert(w[1]);
-        }
-    }
-    // Also merge per-predecessor across target ASes (the same far router
-    // appears on paths to many destinations).
-    let mut by_pred: BTreeMap<Addr, BTreeSet<Addr>> = BTreeMap::new();
-    for ((pred, _), set) in &cand_sets {
-        by_pred
-            .entry(*pred)
-            .or_default()
-            .extend(set.iter().copied());
-    }
+    // Addresses that follow the same previous hop — toward any target
+    // AS, since the same far router appears on paths to many
+    // destinations — are candidates for being interfaces of one router
+    // (load-balanced paths, virtual routers — the Figure 13 scenario).
+    let windows: Vec<(Addr, Addr)> = cands.windows.keys().copied().collect();
     let mut tested: HashSet<(Addr, Addr)> = HashSet::new();
     let mut ally_jobs: Vec<(u64, (Addr, Addr))> = Vec::new();
-    for set in by_pred.values() {
+    for set in windows.chunk_by(|x, y| x.0 == y.0) {
         // Only same-mapping candidates: two successors in different
         // networks are not plausibly one router.
-        let members: Vec<Addr> = set.iter().copied().collect();
+        let members: Vec<Addr> = set.iter().map(|&(_, succ)| succ).collect();
         let mut budget = cfg.max_ally_per_set;
         for i in 0..members.len() {
             for j in (i + 1)..members.len() {

@@ -56,6 +56,13 @@ pub struct ObservedGraph {
     pub addr_router: HashMap<Addr, usize>,
     /// All traces over router indices.
     pub paths: Vec<TracePath>,
+    /// (path index, first position on that path) of every path through
+    /// each router, grouped by router and in path order within a group;
+    /// router `r`'s group is `through[through_start[r]..through_start[r + 1]]`.
+    through: Vec<(u32, u32)>,
+    through_start: Vec<u32>,
+    /// Path indices ordered by (target AS, path index).
+    toward: Vec<u32>,
 }
 
 /// Union-find with veto-aware merging.
@@ -107,10 +114,16 @@ impl Uf {
 
 impl ObservedGraph {
     /// Build the graph from traces and alias measurements.
-    pub fn build<M: IpMapper>(traces: &[Trace], alias: &AliasData, _ip2as: &M) -> ObservedGraph {
+    pub fn build<'t, T, M>(traces: T, alias: &AliasData, _ip2as: &M) -> ObservedGraph
+    where
+        T: IntoIterator<Item = &'t Trace>,
+        T::IntoIter: Clone,
+        M: IpMapper,
+    {
+        let traces = traces.into_iter();
         // Index all time-exceeded addresses.
         let mut addr_ids: BTreeMap<Addr, usize> = BTreeMap::new();
-        for tr in traces {
+        for tr in traces.clone() {
             for a in tr.te_addrs() {
                 let next = addr_ids.len();
                 addr_ids.entry(a).or_insert(next);
@@ -153,7 +166,7 @@ impl ObservedGraph {
         }
 
         // Walk traces: adjacency, hop distances, destination sets.
-        let mut paths = Vec::with_capacity(traces.len());
+        let mut paths = Vec::with_capacity(traces.size_hint().0);
         for tr in traces {
             let mut path_routers: Vec<(usize, Addr)> = Vec::new();
             let mut other_icmp = Vec::new();
@@ -191,11 +204,68 @@ impl ObservedGraph {
             });
         }
 
-        ObservedGraph {
+        let mut g = ObservedGraph {
             routers,
             addr_router,
             paths,
+            ..ObservedGraph::default()
+        };
+        g.index_paths();
+        g
+    }
+
+    /// Every path through router `r` as (path index, first position of
+    /// `r` on that path), in path order: the §5.4 walk looks up the paths
+    /// through a router here instead of scanning them all.
+    pub fn paths_through(&self, r: usize) -> &[(u32, u32)] {
+        let (lo, hi) = (self.through_start[r], self.through_start[r + 1]);
+        &self.through[lo as usize..hi as usize]
+    }
+
+    /// Indices of the paths toward `asn`, in path order.
+    pub fn paths_toward(&self, asn: Asn) -> &[u32] {
+        let target = |p: &u32| self.paths[*p as usize].target_as;
+        let lo = self.toward.partition_point(|p| target(p) < asn);
+        let hi = self.toward.partition_point(|p| target(p) <= asn);
+        &self.toward[lo..hi]
+    }
+
+    /// Build the `paths_through` and `paths_toward` indexes: count each
+    /// router's paths, then fill one flat table.
+    fn index_paths(&mut self) {
+        let n = self.routers.len();
+        // `seen[r]` is one past the last path that listed `r`, so a
+        // router met again further down a path keeps its first position.
+        let mut seen = vec![0u32; n];
+        let mut start = vec![0u32; n + 1];
+        for (p, path) in (1u32..).zip(&self.paths) {
+            for &(r, _) in &path.routers {
+                if seen[r] != p {
+                    seen[r] = p;
+                    start[r + 1] += 1;
+                }
+            }
         }
+        for r in 0..n {
+            start[r + 1] += start[r];
+        }
+        let mut next = start.clone();
+        let mut through = vec![(0, 0); start[n] as usize];
+        seen.fill(0);
+        for (p, path) in (1u32..).zip(&self.paths) {
+            for (pos, &(r, _)) in (0u32..).zip(&path.routers) {
+                if seen[r] != p {
+                    seen[r] = p;
+                    through[next[r] as usize] = (p - 1, pos);
+                    next[r] += 1;
+                }
+            }
+        }
+        let mut toward: Vec<u32> = (0..self.paths.len() as u32).collect();
+        toward.sort_by_key(|&p| self.paths[p as usize].target_as);
+        self.through = through;
+        self.through_start = start;
+        self.toward = toward;
     }
 
     /// Routers sorted by min hop distance (the §5.4 traversal order).
@@ -334,6 +404,42 @@ mod tests {
         let order = g.hop_order();
         let hops: Vec<u8> = order.iter().map(|&i| g.routers[i].min_hop).collect();
         assert!(hops.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// A router met again further down a path (here through an alias:
+    /// r1, r2, r1, r3) is indexed once for that path, at its first
+    /// position; the per-target list holds each path once.
+    #[test]
+    fn path_index_keeps_first_position_of_a_revisited_router() {
+        let traces = vec![
+            trace(
+                "10.9.0.1",
+                9,
+                vec![
+                    hop("10.2.0.1", 1),
+                    hop("10.2.0.5", 2),
+                    hop("10.2.0.2", 3),
+                    hop("10.9.0.9", 4),
+                ],
+            ),
+            trace("10.8.0.1", 8, vec![hop("10.2.0.5", 1), hop("10.2.0.1", 2)]),
+            trace("10.9.0.2", 9, vec![hop("10.9.0.9", 1)]),
+        ];
+        let mut alias = AliasData::default();
+        alias.aliases.push((a("10.2.0.1"), a("10.2.0.2")));
+        let g = ObservedGraph::build(&traces, &alias, &dummy_ip2as());
+        let r1 = g.addr_router[&a("10.2.0.1")];
+        let r2 = g.addr_router[&a("10.2.0.5")];
+        let r3 = g.addr_router[&a("10.9.0.9")];
+        assert_eq!(g.addr_router[&a("10.2.0.2")], r1);
+        let on_path0: Vec<usize> = g.paths[0].routers.iter().map(|&(r, _)| r).collect();
+        assert_eq!(on_path0, vec![r1, r2, r1, r3]);
+        assert_eq!(g.paths_through(r1), [(0, 0), (1, 1)]);
+        assert_eq!(g.paths_through(r2), [(0, 1), (1, 0)]);
+        assert_eq!(g.paths_through(r3), [(0, 3), (2, 0)]);
+        assert_eq!(g.paths_toward(Asn(9)), [0, 2]);
+        assert_eq!(g.paths_toward(Asn(8)), [1]);
+        assert!(g.paths_toward(Asn(7)).is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::graph::ObservedGraph;
 use crate::input::{Input, IpMapper, Mapping};
 use crate::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
-use bdrmap_probe::TraceCollection;
+use bdrmap_probe::{ProbeBudget, TraceCollection};
 use bdrmap_types::{Addr, Asn};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -120,19 +120,20 @@ pub fn infer<M: IpMapper>(
     ip2as: &M,
     collection: TraceCollection,
 ) -> BorderMap {
-    infer_seeded(graph, input, ip2as, collection, &[]).0
+    infer_seeded(graph, input, ip2as, collection.budget, &[]).0
 }
 
 /// [`infer`] with per-router seeds: a router with `Some(decision)` skips
 /// the ownership walk and adopts the decision verbatim. Returns the map
 /// plus every router's decision (seeded or freshly computed) for the
 /// next pass. `seeds` may be shorter than the router count; missing
-/// entries mean "compute".
+/// entries mean "compute". Of the probing run, the map records only
+/// its `budget`.
 pub fn infer_seeded<M: IpMapper>(
     graph: &ObservedGraph,
     input: &Input,
     ip2as: &M,
-    collection: TraceCollection,
+    budget: ProbeBudget,
     seeds: &[Option<OwnerDecision>],
 ) -> (BorderMap, Vec<OwnerDecision>) {
     let n = graph.routers.len();
@@ -163,15 +164,11 @@ pub fn infer_seeded<M: IpMapper>(
         }
         // H1.2 condition: a VP-mapped address appears *after* this
         // router on some trace.
-        let mut vp_after = false;
-        for path in &graph.paths {
-            if let Some(pos) = path.routers.iter().position(|&(pr, _)| pr == r) {
-                if path.routers[pos + 1..].iter().any(|&(_, a)| ip2as.is_vp(a)) {
-                    vp_after = true;
-                    break;
-                }
-            }
-        }
+        let vp_after = graph.paths_through(r).iter().any(|&(p, pos)| {
+            graph.paths[p as usize].routers[pos as usize + 1..]
+                .iter()
+                .any(|&(_, a)| ip2as.is_vp(a))
+        });
         if !vp_after {
             continue; // far-side candidate; later heuristics decide.
         }
@@ -371,10 +368,11 @@ pub fn infer_seeded<M: IpMapper>(
         let mut consistent = true;
         let mut saw_other_icmp = false;
         let mut any_trace = false;
-        for path in &graph.paths {
-            if path.target_as != a {
-                continue;
-            }
+        for path in graph
+            .paths_toward(a)
+            .iter()
+            .map(|&p| &graph.paths[p as usize])
+        {
             any_trace = true;
             // The last router owned by the VP network with nothing
             // external after it.
@@ -442,8 +440,8 @@ pub fn infer_seeded<M: IpMapper>(
     let map = BorderMap {
         routers: router_out,
         links,
-        packets: collection.budget.packets,
-        elapsed_ms: collection.budget.elapsed_ms,
+        packets: budget.packets,
+        elapsed_ms: budget.elapsed_ms,
     };
     (map, decisions)
 }
@@ -474,10 +472,8 @@ fn infer_vp_numbered<M: IpMapper>(
 
     // §5.4.4 step 4.2: two consecutive routers after r mapping to one
     // external AS.
-    for path in &graph.paths {
-        let Some(pos) = path.routers.iter().position(|&(pr, _)| pr == r) else {
-            continue;
-        };
+    for &(p, pos) in graph.paths_through(r) {
+        let (path, pos) = (&graph.paths[p as usize], pos as usize);
         if pos + 2 < path.routers.len() {
             let a1 = ext_ases(ip2as, [path.routers[pos + 1].1]);
             let a2 = ext_ases(ip2as, [path.routers[pos + 2].1]);
@@ -592,11 +588,8 @@ fn infer_unrouted<M: IpMapper>(
 ) {
     // First routed external interface after r on each trace.
     let mut after: BTreeSet<Asn> = BTreeSet::new();
-    for path in &graph.paths {
-        let Some(pos) = path.routers.iter().position(|&(pr, _)| pr == r) else {
-            continue;
-        };
-        for &(_, a) in &path.routers[pos + 1..] {
+    for &(p, pos) in graph.paths_through(r) {
+        for &(_, a) in &graph.paths[p as usize].routers[pos as usize + 1..] {
             let ext = ip2as.lookup(a).externals().to_vec();
             if !ext.is_empty() {
                 after.extend(ext);

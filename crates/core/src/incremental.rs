@@ -3,15 +3,22 @@
 //!
 //! The one-shot pipeline ([`crate::pipeline::run_stages`]) rebuilds
 //! everything from scratch per run. [`IncrementalEngine`] instead keeps
-//! the cumulative trace set (keyed by destination), and per batch:
+//! the cumulative trace set (keyed by destination) together with what
+//! each held trace contributes to the pass inputs — the blocks it adds
+//! to the estimated VP space (§5.4.1) and its alias candidates, both as
+//! refcounted multisets updated only for the traces a batch upserts or
+//! retracts — and per batch:
 //!
-//! 1. replays alias resolution through a [`CachingProber`] — task ids
+//! 1. builds the IP-to-AS mapper from the block multiset, sharing the
+//!    view and IXP tries built once for the engine's life;
+//! 2. replays alias resolution through a [`CachingProber`] over the
+//!    candidate multisets — task ids
 //!    are content-keyed ([`crate::aliases::task_id`]), so a pair tested
 //!    in an earlier pass replays its cached verdict and packet count
 //!    byte-for-byte, and only genuinely new pairs touch the network;
-//! 2. rebuilds the router graph (cheap, pure CPU) and diffs each
+//! 3. rebuilds the router graph (cheap, pure CPU) and diffs each
 //!    router's canonical record against the previous pass;
-//! 3. expands the dirty set to its closure (everything whose §5.4
+//! 4. expands the dirty set to its closure (everything whose §5.4
 //!    decision could observe a change) and re-runs the ownership walk
 //!    over only that region, seeding every clean router with its
 //!    previous decision ([`crate::heuristics::infer_seeded`]).
@@ -36,20 +43,20 @@
 //!   differ; the global post-passes (§5.4.7 collapse, link extraction,
 //!   §5.4.8 silent neighbours) are cheap and re-run in full.
 
-use crate::aliases::{self, AliasConfig, AliasData};
+use crate::aliases::{self, AliasCandidates, AliasConfig, AliasData};
 use crate::graph::ObservedGraph;
 use crate::heuristics::{self, OwnerDecision};
-use crate::input::{Input, Ip2AsCache, IpMapper, Mapping};
+use crate::input::{Input, Ip2AsCache, IpMapper, Mapping, VpEstimator};
 use crate::output::BorderMap;
 use crate::BdrmapConfig;
 use bdrmap_probe::{
     AliasVerdict, MercatorResult, ProbeBudget, Prober, StopSet, Trace, TraceCollection,
 };
-use bdrmap_types::{Addr, Asn};
+use bdrmap_types::{Addr, Asn, Prefix};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One batch of trace-set edits.
 #[derive(Clone, Debug, Default)]
@@ -104,6 +111,46 @@ pub struct PassReport {
     pub remapped_addrs: usize,
     /// Wall-clock for the whole pass, ms.
     pub pass_ms: f64,
+    /// Wall-clock of each phase of the pass; together they make up
+    /// `pass_ms` but for the metric recording at its end.
+    pub phases: PassPhases,
+}
+
+/// Wall-clock of each phase of one [`IncrementalEngine::apply`] pass, in
+/// the order they run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PassPhases {
+    /// Trace-set edits, with the per-trace VP-space and alias-candidate
+    /// updates.
+    pub edits: Duration,
+    /// The IP-to-AS mapper over the estimated VP space.
+    pub ip2as: Duration,
+    /// Alias resolution, replayed through the task cache.
+    pub alias: Duration,
+    /// The router-graph rebuild.
+    pub graph: Duration,
+    /// Records, path forms and mappings, and their diff into the dirty
+    /// set and seeds.
+    pub diff: Duration,
+    /// The seeded §5.4 walk and its global post-passes.
+    pub walk: Duration,
+    /// The state the next pass diffs against.
+    pub state: Duration,
+}
+
+impl PassPhases {
+    /// `(name, wall-clock)` of each phase, in pass order.
+    pub fn named(&self) -> [(&'static str, Duration); 7] {
+        [
+            ("edits", self.edits),
+            ("ip2as", self.ip2as),
+            ("alias", self.alias),
+            ("graph", self.graph),
+            ("diff", self.diff),
+            ("walk", self.walk),
+            ("state", self.state),
+        ]
+    }
 }
 
 /// Cache key for one alias task: kind, content-keyed id, addresses.
@@ -289,10 +336,82 @@ struct PrevPass {
     mappings: HashMap<Addr, Mapping>,
 }
 
+/// What the held traces contribute to a pass's inputs, kept up to date
+/// trace by trace. A trace's contributions are a pure function of the
+/// trace and the engine's one [`Input`], so a replaced or retracted
+/// trace's are recomputed from it and counted out.
+struct HeldInputs {
+    /// The probing-time mapper and RIR trie, built once.
+    estimator: VpEstimator,
+    /// Every block the held traces attribute to the hosting network,
+    /// with the number of attributions.
+    blocks: BTreeMap<Prefix, u32>,
+    /// The held traces' alias candidates.
+    candidates: AliasCandidates,
+    /// Fingerprint of the `Input` the above were built from.
+    #[cfg(debug_assertions)]
+    input: u64,
+}
+
+impl HeldInputs {
+    fn new(input: &Input) -> HeldInputs {
+        HeldInputs {
+            estimator: VpEstimator::new(input),
+            blocks: BTreeMap::new(),
+            candidates: AliasCandidates::default(),
+            #[cfg(debug_assertions)]
+            input: input_fingerprint(input),
+        }
+    }
+
+    fn add(&mut self, tr: &Trace) {
+        for b in self.estimator.blocks(tr) {
+            *self.blocks.entry(b).or_insert(0) += 1;
+        }
+        self.candidates.add(tr);
+    }
+
+    fn remove(&mut self, tr: &Trace) {
+        for b in self.estimator.blocks(tr) {
+            let n = self
+                .blocks
+                .get_mut(&b)
+                .expect("removing a block never added");
+            *n -= 1;
+            if *n == 0 {
+                self.blocks.remove(&b);
+            }
+        }
+        self.candidates.remove(tr);
+    }
+}
+
+/// A content hash of everything an engine reads from its `Input`, to
+/// check in debug builds that every pass is fed the same one.
+#[cfg(debug_assertions)]
+fn input_fingerprint(input: &Input) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    input.vp_asns.hash(&mut h);
+    input.ixp_prefixes.hash(&mut h);
+    for r in &input.rir {
+        (r.prefix, r.opaque_org).hash(&mut h);
+    }
+    for (p, origins) in input.view.prefixes() {
+        (p, origins).hash(&mut h);
+    }
+    h.finish()
+}
+
 /// The long-lived incremental engine. Feed it batches with
 /// [`IncrementalEngine::apply`]; each call returns the updated map,
 /// byte-identical to a from-scratch rebuild over
 /// [`IncrementalEngine::shadow_collection`].
+///
+/// An engine serves one [`Input`] for its whole life: the first pass
+/// builds the probing-time mapper from it, and every held trace's
+/// VP-space blocks and alias candidates are kept against that mapper.
+/// Debug builds check that every pass is given the same input.
 pub struct IncrementalEngine {
     cfg: BdrmapConfig,
     tick_us: u64,
@@ -302,6 +421,8 @@ pub struct IncrementalEngine {
     refreshed: BTreeMap<Addr, u64>,
     cache: Option<HashMap<TaskKey, CachedTask>>,
     prev: Option<PrevPass>,
+    /// Built by the first pass.
+    held: Option<HeldInputs>,
     pass: u64,
 }
 
@@ -316,6 +437,7 @@ impl IncrementalEngine {
             refreshed: BTreeMap::new(),
             cache: Some(HashMap::new()),
             prev: None,
+            held: None,
             pass: 0,
         }
     }
@@ -401,6 +523,13 @@ impl IncrementalEngine {
         batch: Batch,
     ) -> (BorderMap, PassReport) {
         let t0 = Instant::now();
+        let mut phase_start = t0;
+        let mut lap = || {
+            let now = Instant::now();
+            let d = now - phase_start;
+            phase_start = now;
+            d
+        };
         self.pass += 1;
         let mut report = PassReport {
             pass: self.pass,
@@ -408,9 +537,18 @@ impl IncrementalEngine {
         };
 
         // -------------------------------------------- trace-set edits
+        let held = self.held.get_or_insert_with(|| HeldInputs::new(input));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            held.input,
+            input_fingerprint(input),
+            "an IncrementalEngine serves one Input for its whole life"
+        );
         for tr in batch.upserts {
             self.refreshed.insert(tr.dst, self.pass);
-            if self.traces.insert(tr.dst, tr).is_some() {
+            held.add(&tr);
+            if let Some(old) = self.traces.insert(tr.dst, tr) {
+                held.remove(&old);
                 report.replaced += 1;
             } else {
                 report.added += 1;
@@ -418,16 +556,18 @@ impl IncrementalEngine {
         }
         for dst in batch.retractions {
             self.refreshed.remove(&dst);
-            if self.traces.remove(&dst).is_some() {
+            if let Some(old) = self.traces.remove(&dst) {
+                held.remove(&old);
                 report.retracted += 1;
             }
         }
-        let traces: Vec<Trace> = self.traces.values().cloned().collect();
-        report.traces = traces.len();
+        report.traces = self.traces.len();
+        report.phases.edits = lap();
 
         // --------------------------------- ip2as (with VP estimation)
-        let ip2as = input.ip2as_with_estimation(&traces);
+        let ip2as = held.estimator.ip2as(held.blocks.keys().copied());
         let cache = Ip2AsCache::new(&ip2as);
+        report.phases.ip2as = lap();
 
         // ------------------------------- alias resolution (replayed)
         let caching = CachingProber {
@@ -440,9 +580,9 @@ impl IncrementalEngine {
         };
         caching.begin_pass();
         let alias_data = if self.cfg.alias_resolution {
-            aliases::resolve(
+            aliases::resolve_candidates(
                 &caching,
-                &traces,
+                &held.candidates,
                 &cache,
                 &AliasConfig {
                     max_ally_per_set: self.cfg.max_ally_per_set,
@@ -458,11 +598,13 @@ impl IncrementalEngine {
         report.alias_cache_misses = misses;
         let budget = caching.budget();
         report.alias_packets = budget.packets;
+        report.phases.alias = lap();
 
         // ------------------------------------------------ graph build
-        let graph = ObservedGraph::build(&traces, &alias_data, &cache);
+        let graph = ObservedGraph::build(self.traces.values(), &alias_data, &cache);
         let n = graph.routers.len();
         report.routers = n;
+        report.phases.graph = lap();
 
         // Canonical keys and records.
         let keys: Vec<Addr> = graph
@@ -587,10 +729,11 @@ impl IncrementalEngine {
             }
         };
         report.reused = seeds.iter().filter(|s| s.is_some()).count();
+        report.phases.diff = lap();
 
         // ------------------------------------------- seeded inference
-        let collection = TraceCollection { traces, budget };
-        let (map, decisions) = heuristics::infer_seeded(&graph, input, &cache, collection, &seeds);
+        let (map, decisions) = heuristics::infer_seeded(&graph, input, &cache, budget, &seeds);
+        report.phases.walk = lap();
 
         // ------------------------------------------------- next-pass state
         self.cache = Some(caching.cache.into_inner().unwrap());
@@ -600,6 +743,7 @@ impl IncrementalEngine {
             paths: path_forms,
             mappings,
         });
+        report.phases.state = lap();
 
         report.pass_ms = t0.elapsed().as_secs_f64() * 1e3;
         record_pass_metrics(&report);
@@ -631,4 +775,210 @@ fn record_pass_metrics(report: &PassReport) {
         .record(report.reinferred as u64);
     reg.histogram("bdrmap_incremental_pass_us", &[])
         .record((report.pass_ms * 1e3) as u64);
+    for (phase, d) in report.phases.named() {
+        reg.histogram("bdrmap_incremental_phase_us", &[("phase", phase)])
+            .record(d.as_micros() as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bdrmap_bgp::{AsGraph, CollectorView, InferredRelationships, OriginTable, RoutingOracle};
+    use bdrmap_probe::{TraceHop, TraceStop};
+    use bdrmap_types::{addr, Relationship, RirRecord};
+
+    fn p(s: &str) -> Prefix {
+        s.parse().unwrap()
+    }
+
+    /// A VP network, two external neighbors, an IXP LAN and two RIR
+    /// delegations nobody announces.
+    fn tiny_input() -> Input {
+        let mut g = AsGraph::new();
+        let t1 = g.add_as();
+        let vp = g.add_as();
+        let e3 = g.add_as();
+        let e4 = g.add_as();
+        g.add_link(t1, vp, Relationship::Customer);
+        g.add_link(vp, e3, Relationship::Customer);
+        g.add_link(vp, e4, Relationship::Peer);
+        let mut t = OriginTable::new();
+        t.announce(p("10.2.0.0/16"), vp);
+        t.announce(p("10.3.0.0/16"), e3);
+        t.announce(p("10.4.0.0/16"), e4);
+        let oracle = RoutingOracle::new(g, t);
+        let view = CollectorView::collect(&oracle, &[t1]);
+        let rels = InferredRelationships::infer(&view);
+        Input {
+            view,
+            rels,
+            ixp_prefixes: vec![p("198.32.0.0/24")],
+            rir: vec![
+                RirRecord {
+                    prefix: p("172.16.0.0/22"),
+                    opaque_org: 1,
+                },
+                RirRecord {
+                    prefix: p("172.16.4.0/22"),
+                    opaque_org: 2,
+                },
+            ],
+            vp_asns: vec![vp],
+        }
+    }
+
+    /// Answers every alias test "unknown" and charges one packet.
+    struct Silent;
+
+    impl Prober for Silent {
+        fn trace(&self, dst: Addr, target_as: Asn, _stop: &StopSet) -> Trace {
+            Trace {
+                dst,
+                target_as,
+                hops: Vec::new(),
+                stop: TraceStop::GapLimit,
+            }
+        }
+        fn ally(&self, _a: Addr, _b: Addr) -> AliasVerdict {
+            AliasVerdict::Unknown
+        }
+        fn mercator(&self, _a: Addr) -> Option<MercatorResult> {
+            None
+        }
+        fn prefixscan(&self, _prev_hop: Addr, _addr: Addr) -> Option<Addr> {
+            None
+        }
+        fn budget(&self) -> ProbeBudget {
+            ProbeBudget::default()
+        }
+        fn ally_task(&self, _task: u64, _a: Addr, _b: Addr) -> (AliasVerdict, u64) {
+            (AliasVerdict::Unknown, 1)
+        }
+        fn mercator_task(&self, _task: u64, _a: Addr) -> (Option<MercatorResult>, u64) {
+            (None, 1)
+        }
+        fn prefixscan_task(&self, _task: u64, _prev: Addr, _addr: Addr) -> (Option<Addr>, u64) {
+            (None, 1)
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A few addresses from each kind of space: VP, external, IXP,
+    /// RIR-delegated but unrouted, and unrouted without a record.
+    fn pool() -> Vec<Addr> {
+        [
+            0x0a02_0001u32,
+            0x0a02_0002,
+            0x0a02_0003,
+            0x0a03_0001,
+            0x0a03_0002,
+            0x0a04_0001,
+            0xc620_0001,
+            0xac10_0001,
+            0xac10_0201,
+            0xac10_0401,
+            0xac10_0701,
+            0xc000_0201,
+        ]
+        .map(addr)
+        .to_vec()
+    }
+
+    fn random_trace(rng: &mut u64, dst: Addr, pool: &[Addr]) -> Trace {
+        let len = (splitmix(rng) % 9) as usize;
+        let hops = (0..len)
+            .map(|i| {
+                let roll = splitmix(rng) % 10;
+                let a = pool[(splitmix(rng) as usize) % pool.len()];
+                TraceHop {
+                    ttl: i as u8 + 1,
+                    addr: (roll != 0).then_some(a),
+                    time_exceeded: roll > 1,
+                    other_icmp: roll == 1,
+                    ipid: 0,
+                }
+            })
+            .collect();
+        Trace {
+            dst,
+            target_as: Asn(3 + (splitmix(rng) % 2) as u32),
+            hops,
+            stop: TraceStop::GapLimit,
+        }
+    }
+
+    fn blocks_from_scratch(input: &Input, traces: &[Trace]) -> BTreeMap<Prefix, u32> {
+        let est = VpEstimator::new(input);
+        let mut blocks = BTreeMap::new();
+        for b in traces.iter().flat_map(|tr| est.blocks(tr)) {
+            *blocks.entry(b).or_insert(0) += 1;
+        }
+        blocks
+    }
+
+    /// The per-trace state the engine keeps across passes never drifts
+    /// from the state a fresh computation over the held traces gives,
+    /// whatever mix of adds, replaces, truncating replaces and
+    /// retractions (of held and unheld destinations) it is fed.
+    #[test]
+    fn maintained_inputs_equal_recomputed_inputs() {
+        let input = tiny_input();
+        let pool = pool();
+        let dsts: Vec<Addr> = (0..10u32).map(|i| addr(0x0a03_0100 + i)).collect();
+        let (mut saw_blocks, mut saw_removal) = (false, false);
+        for seed in 1..=4u64 {
+            let mut rng = seed;
+            let mut eng = IncrementalEngine::new(BdrmapConfig::default(), 10_000);
+            for _ in 0..25 {
+                let mut batch = Batch::default();
+                for _ in 0..(splitmix(&mut rng) % 4) {
+                    let dst = dsts[(splitmix(&mut rng) as usize) % dsts.len()];
+                    match (splitmix(&mut rng) % 4, eng.traces.get(&dst)) {
+                        (0, Some(held)) => {
+                            let mut tr = held.clone();
+                            tr.hops.truncate(tr.hops.len() / 2);
+                            batch.upserts.push(tr);
+                        }
+                        (1, _) => batch.retractions.push(dst),
+                        _ => batch.upserts.push(random_trace(&mut rng, dst, &pool)),
+                    }
+                }
+                let (_, report) = eng.apply(&Silent, &input, batch);
+                saw_removal |= report.replaced + report.retracted > 0;
+
+                let shadow = eng.shadow_collection();
+                let held = eng.held.as_ref().unwrap();
+                assert_eq!(
+                    held.candidates,
+                    AliasCandidates::from_traces(&shadow.traces),
+                    "seed {seed} pass {}: alias candidates drifted",
+                    eng.passes()
+                );
+                assert_eq!(
+                    held.blocks,
+                    blocks_from_scratch(&input, &shadow.traces),
+                    "seed {seed} pass {}: estimated blocks drifted",
+                    eng.passes()
+                );
+                saw_blocks |= !held.blocks.is_empty();
+                let kept = held.estimator.ip2as(held.blocks.keys().copied());
+                let fresh = input.ip2as_with_estimation(&shadow.traces);
+                for &a in &pool {
+                    assert_eq!(kept.lookup(a), fresh.lookup(a));
+                }
+            }
+        }
+        assert!(
+            saw_blocks && saw_removal,
+            "the batches exercised too little"
+        );
+    }
 }

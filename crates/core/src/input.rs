@@ -6,6 +6,7 @@ use bdrmap_types::RirRecord;
 use bdrmap_types::{Addr, Asn, Prefix, PrefixSet, PrefixTrie};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Everything bdrmap is seeded with: all public, none of it ground
 /// truth.
@@ -54,53 +55,86 @@ impl Mapping {
     }
 }
 
-/// The IP-to-AS mapper: collector view + IXP list + estimated VP space.
-pub struct Ip2As {
+/// The prefix tables every [`Ip2As`] built from one [`Input`] shares:
+/// the collector view's origins, the IXP LANs and the VP ASes.
+struct BaseTables {
     view_origins: PrefixTrie<Vec<Asn>>,
     ixps: PrefixSet,
     vp_asns: Vec<Asn>,
+}
+
+/// The IP-to-AS mapper: collector view + IXP list + estimated VP space.
+/// Mappers with different estimates share the view and IXP tries, so
+/// swapping in a new estimate costs only the estimate.
+pub struct Ip2As {
+    base: Arc<BaseTables>,
     /// Prefixes estimated to belong to the hosting network although it
     /// does not announce them (§5.4.1, via RIR delegations).
     estimated_vp: PrefixSet,
 }
 
-impl Ip2As {
-    /// Map one address.
-    pub fn lookup(&self, a: Addr) -> Mapping {
-        if self.ixps.covers_addr(a) {
-            return Mapping::Ixp;
+/// A [`Mapping`] borrowed from the tries that hold it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum MappingRef<'a> {
+    Vp,
+    External(&'a [Asn]),
+    Ixp,
+    Unrouted,
+}
+
+impl MappingRef<'_> {
+    fn to_mapping(self) -> Mapping {
+        match self {
+            MappingRef::Vp => Mapping::Vp,
+            MappingRef::External(o) => Mapping::External(o.to_vec()),
+            MappingRef::Ixp => Mapping::Ixp,
+            MappingRef::Unrouted => Mapping::Unrouted,
         }
-        if let Some((_, origins)) = self.view_origins.lookup(a) {
-            if origins.iter().any(|o| self.vp_asns.contains(o)) {
-                return Mapping::Vp;
+    }
+}
+
+impl Ip2As {
+    fn resolve(&self, a: Addr) -> MappingRef<'_> {
+        let base = &*self.base;
+        if base.ixps.covers_addr(a) {
+            return MappingRef::Ixp;
+        }
+        if let Some((_, origins)) = base.view_origins.lookup(a) {
+            if origins.iter().any(|o| base.vp_asns.contains(o)) {
+                return MappingRef::Vp;
             }
-            return Mapping::External(origins.clone());
+            return MappingRef::External(origins);
         }
         if self.estimated_vp.covers_addr(a) {
-            return Mapping::Vp;
+            return MappingRef::Vp;
         }
-        Mapping::Unrouted
+        MappingRef::Unrouted
+    }
+
+    /// Map one address.
+    pub fn lookup(&self, a: Addr) -> Mapping {
+        self.resolve(a).to_mapping()
     }
 
     /// True if the address maps to an external network (the stop-set /
     /// block-retry criterion of §5.3).
     pub fn is_external(&self, a: Addr) -> bool {
-        matches!(self.lookup(a), Mapping::External(_))
+        matches!(self.resolve(a), MappingRef::External(_))
     }
 
     /// True if the address maps to the hosting network.
     pub fn is_vp(&self, a: Addr) -> bool {
-        matches!(self.lookup(a), Mapping::Vp)
+        self.resolve(a) == MappingRef::Vp
     }
 
     /// The hosting network's primary ASN.
     pub fn vp_asn(&self) -> Asn {
-        self.vp_asns[0]
+        self.base.vp_asns[0]
     }
 
     /// The hosting network's sibling set.
     pub fn vp_asns(&self) -> &[Asn] {
-        &self.vp_asns
+        &self.base.vp_asns
     }
 }
 
@@ -112,15 +146,12 @@ pub trait IpMapper {
     /// Map one address.
     fn lookup(&self, a: Addr) -> Mapping;
 
-    /// True if the address maps to an external network.
-    fn is_external(&self, a: Addr) -> bool {
-        matches!(self.lookup(a), Mapping::External(_))
-    }
+    /// True if the address maps to an external network; answered
+    /// without copying the origins.
+    fn is_external(&self, a: Addr) -> bool;
 
     /// True if the address maps to the hosting network.
-    fn is_vp(&self, a: Addr) -> bool {
-        matches!(self.lookup(a), Mapping::Vp)
-    }
+    fn is_vp(&self, a: Addr) -> bool;
 
     /// The hosting network's primary ASN.
     fn vp_asn(&self) -> Asn;
@@ -132,6 +163,14 @@ pub trait IpMapper {
 impl IpMapper for Ip2As {
     fn lookup(&self, a: Addr) -> Mapping {
         Ip2As::lookup(self, a)
+    }
+
+    fn is_external(&self, a: Addr) -> bool {
+        Ip2As::is_external(self, a)
+    }
+
+    fn is_vp(&self, a: Addr) -> bool {
+        Ip2As::is_vp(self, a)
     }
 
     fn vp_asn(&self) -> Asn {
@@ -193,18 +232,33 @@ impl<'a> Ip2AsCache<'a> {
             misses: self.misses.get(),
         }
     }
+
+    /// Apply `f` to the memoized mapping of `a`, resolving and
+    /// memoizing it on a miss. Every call counts one hit or one miss.
+    fn with_mapping<R>(&self, a: Addr, f: impl FnOnce(&Mapping) -> R) -> R {
+        if let Some(m) = self.memo.borrow().get(&a) {
+            self.hits.set(self.hits.get() + 1);
+            return f(m);
+        }
+        let m = self.inner.lookup(a);
+        self.misses.set(self.misses.get() + 1);
+        let out = f(&m);
+        self.memo.borrow_mut().insert(a, m);
+        out
+    }
 }
 
 impl IpMapper for Ip2AsCache<'_> {
     fn lookup(&self, a: Addr) -> Mapping {
-        if let Some(m) = self.memo.borrow().get(&a) {
-            self.hits.set(self.hits.get() + 1);
-            return m.clone();
-        }
-        let m = self.inner.lookup(a);
-        self.misses.set(self.misses.get() + 1);
-        self.memo.borrow_mut().insert(a, m.clone());
-        m
+        self.with_mapping(a, Mapping::clone)
+    }
+
+    fn is_external(&self, a: Addr) -> bool {
+        self.with_mapping(a, |m| matches!(m, Mapping::External(_)))
+    }
+
+    fn is_vp(&self, a: Addr) -> bool {
+        self.with_mapping(a, |m| *m == Mapping::Vp)
     }
 
     fn vp_asn(&self) -> Asn {
@@ -216,11 +270,69 @@ impl IpMapper for Ip2AsCache<'_> {
     }
 }
 
+/// VP-space estimation (§5.4.1) split per trace: the blocks each trace
+/// attributes to the hosting network, and the mapper a set of blocks
+/// yields. Holds the probing-time mapper and the RIR trie, both built
+/// once from one [`Input`].
+pub(crate) struct VpEstimator {
+    base: Ip2As,
+    rir: PrefixTrie<Prefix>,
+}
+
+impl VpEstimator {
+    /// Build the probing-time mapper and the RIR trie of `input`.
+    pub(crate) fn new(input: &Input) -> VpEstimator {
+        VpEstimator {
+            base: input.ip2as_for_probing(),
+            rir: input.rir.iter().map(|r| (r.prefix, r.prefix)).collect(),
+        }
+    }
+
+    /// The blocks `tr` attributes to the hosting network, in hop order
+    /// (repeats included): wherever an address originated by the
+    /// hosting network appears, every *unrouted* address earlier in the
+    /// trace is estimated to be the hosting network's too, and its
+    /// covering RIR delegation — or a /24 around it if no record
+    /// matches — is attributed whole.
+    pub(crate) fn blocks<'t>(&'t self, tr: &'t Trace) -> impl Iterator<Item = Prefix> + 't {
+        let last_vp = tr
+            .hops
+            .iter()
+            .rposition(|h| h.addr.is_some_and(|a| self.base.is_vp(a)))
+            .unwrap_or(0);
+        tr.hops[..last_vp]
+            .iter()
+            .filter_map(|h| h.addr)
+            .filter(|&a| self.base.resolve(a) == MappingRef::Unrouted)
+            .map(|a| match self.rir.lookup(a) {
+                Some((_, &block)) => block,
+                None => Prefix::new(a, 24),
+            })
+    }
+
+    /// The final mapper for an estimated VP space of `blocks`; the view
+    /// and IXP tries are shared, not rebuilt.
+    pub(crate) fn ip2as(&self, blocks: impl IntoIterator<Item = Prefix>) -> Ip2As {
+        Ip2As {
+            base: Arc::clone(&self.base.base),
+            estimated_vp: blocks.into_iter().collect(),
+        }
+    }
+}
+
 impl Input {
     /// The mapper used during probing, before VP-space estimation is
     /// possible (no traces yet).
     pub fn ip2as_for_probing(&self) -> Ip2As {
-        self.build_ip2as(PrefixSet::new())
+        let base = BaseTables {
+            view_origins: self.view.prefixes().map(|(p, o)| (p, o.to_vec())).collect(),
+            ixps: self.ixp_prefixes.iter().copied().collect(),
+            vp_asns: self.vp_asns.clone(),
+        };
+        Ip2As {
+            base: Arc::new(base),
+            estimated_vp: PrefixSet::new(),
+        }
     }
 
     /// The final mapper: walks the traces and, wherever an address
@@ -228,43 +340,8 @@ impl Input {
     /// *unrouted* address earlier in that trace is also the hosting
     /// network's, attributing the whole RIR-delegated block (§5.4.1).
     pub fn ip2as_with_estimation(&self, traces: &[Trace]) -> Ip2As {
-        let base = self.ip2as_for_probing();
-        let mut estimated = PrefixSet::new();
-        let rir: PrefixTrie<Prefix> = self.rir.iter().map(|r| (r.prefix, r.prefix)).collect();
-        for tr in traces {
-            // Find the last hop originated by a VP AS.
-            let Some(last_vp) = tr
-                .hops
-                .iter()
-                .rposition(|h| h.addr.is_some_and(|a| base.is_vp(a)))
-            else {
-                continue;
-            };
-            for h in &tr.hops[..last_vp] {
-                let Some(a) = h.addr else { continue };
-                if base.lookup(a) == Mapping::Unrouted {
-                    // Attribute the covering RIR delegation, or a /24
-                    // around the address if no record matches.
-                    match rir.lookup(a) {
-                        Some((_, &block)) => estimated.insert(block),
-                        None => estimated.insert(Prefix::new(a, 24)),
-                    };
-                }
-            }
-        }
-        self.build_ip2as(estimated)
-    }
-
-    fn build_ip2as(&self, estimated_vp: PrefixSet) -> Ip2As {
-        let view_origins: PrefixTrie<Vec<Asn>> =
-            self.view.prefixes().map(|(p, o)| (p, o.to_vec())).collect();
-        let ixps: PrefixSet = self.ixp_prefixes.iter().copied().collect();
-        Ip2As {
-            view_origins,
-            ixps,
-            vp_asns: self.vp_asns.clone(),
-            estimated_vp,
-        }
+        let est = VpEstimator::new(self);
+        est.ip2as(traces.iter().flat_map(|tr| est.blocks(tr)))
     }
 }
 
@@ -385,8 +462,19 @@ mod tests {
         assert_eq!(stats.hits, 8);
         assert!((stats.hit_rate() - 8.0 / 12.0).abs() < 1e-9);
         assert_eq!(cache.vp_asn(), ip2as.vp_asn());
+        // The predicates count like lookups: a hit each on memoized
+        // addresses, and a miss that memoizes a new one.
         assert!(cache.is_vp(a("10.2.1.1")));
         assert!(cache.is_external(a("10.3.1.1")));
+        assert!(!cache.is_vp(a("10.3.9.9")));
+        assert!(cache.is_external(a("10.3.9.9")));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 11,
+                misses: 5
+            }
+        );
     }
 
     #[test]

@@ -6,9 +6,10 @@ use bdrmap_bgp::{AsGraph, CollectorView, InferredRelationships, OriginTable, Rou
 use bdrmap_core::aliases::AliasData;
 use bdrmap_core::graph::ObservedGraph;
 use bdrmap_core::heuristics::infer;
-use bdrmap_core::{Heuristic, Input};
+use bdrmap_core::{Heuristic, Input, IpMapper, Mapping};
 use bdrmap_probe::{Trace, TraceCollection, TraceHop, TraceStop};
 use bdrmap_types::{Addr, Asn, Prefix, Relationship};
+use std::collections::BTreeSet;
 
 fn a(s: &str) -> Addr {
     s.parse().unwrap()
@@ -720,4 +721,164 @@ fn multihomed_to_vp_exception_fires() {
         "step 1.1 should fire, got {:?}",
         map.routers[r21].heuristic
     );
+}
+
+/// Which paths pass through router `r`, and where first: the whole-path
+/// scan the §5.4 walk ran before paths were indexed by router.
+fn scan_router_paths(g: &ObservedGraph, r: usize) -> Vec<(u32, u32)> {
+    g.paths
+        .iter()
+        .enumerate()
+        .filter_map(|(p, path)| {
+            let pos = path.routers.iter().position(|&(pr, _)| pr == r)?;
+            Some((p as u32, pos as u32))
+        })
+        .collect()
+}
+
+/// H1.2's vp-after test, scanning every path.
+fn scan_vp_after<M: IpMapper>(g: &ObservedGraph, ip2as: &M, r: usize) -> bool {
+    g.paths.iter().any(|path| {
+        path.routers
+            .iter()
+            .position(|&(pr, _)| pr == r)
+            .is_some_and(|pos| path.routers[pos + 1..].iter().any(|&(_, a)| ip2as.is_vp(a)))
+    })
+}
+
+/// §5.4.4 step 4.2, scanning every path: the AS shared by the two
+/// routers after `r` on the first path that has two.
+fn scan_one_net_consecutive<M: IpMapper>(g: &ObservedGraph, ip2as: &M, r: usize) -> Option<Asn> {
+    let ext = |a: Addr| -> BTreeSet<Asn> { ip2as.lookup(a).externals().iter().copied().collect() };
+    g.paths.iter().find_map(|path| {
+        let pos = path.routers.iter().position(|&(pr, _)| pr == r)?;
+        if pos + 2 >= path.routers.len() {
+            return None;
+        }
+        let (a1, a2) = (ext(path.routers[pos + 1].1), ext(path.routers[pos + 2].1));
+        a1.intersection(&a2).next().copied()
+    })
+}
+
+/// §5.4.3, scanning every path: the first routed external AS(es) after
+/// `r` on each path through it.
+fn scan_unrouted_after<M: IpMapper>(g: &ObservedGraph, ip2as: &M, r: usize) -> BTreeSet<Asn> {
+    let mut after = BTreeSet::new();
+    for path in &g.paths {
+        let Some(pos) = path.routers.iter().position(|&(pr, _)| pr == r) else {
+            continue;
+        };
+        for &(_, a) in &path.routers[pos + 1..] {
+            let ext = ip2as.lookup(a).externals().to_vec();
+            if !ext.is_empty() {
+                after.extend(ext);
+                break;
+            }
+        }
+    }
+    after
+}
+
+/// The walk looks paths up by router and by target AS. On one graph
+/// where H1.2, §5.4.4 step 4.2, §5.4.3 and §5.4.8 all fire (and one path
+/// revisits a router), its decisions equal those of the whole-path scans
+/// it replaced.
+#[test]
+fn indexed_path_lookups_decide_like_whole_path_scans() {
+    let w = world();
+    let traces = vec![
+        // §5.4.4 step 4.2: a VP-numbered far border, then two AS3 hops.
+        trace(
+            "10.3.0.1",
+            3,
+            vec![
+                hop("10.2.0.1", 1),
+                hop("10.2.0.5", 2),
+                hop("10.2.9.2", 3),
+                hop("10.3.7.1", 4),
+                hop("10.3.7.5", 5),
+            ],
+        ),
+        // Revisits 10.2.0.1 at its third hop.
+        trace(
+            "10.3.0.2",
+            3,
+            vec![
+                hop("10.2.0.1", 1),
+                hop("10.2.0.9", 2),
+                hop("10.2.0.1", 3),
+                hop("10.2.0.5", 4),
+                hop("10.2.9.2", 5),
+                hop("10.3.7.1", 6),
+                hop("10.3.7.5", 7),
+            ],
+        ),
+        // §5.4.3: an unrouted router with AS5 after it.
+        trace(
+            "10.5.0.1",
+            5,
+            vec![hop("10.2.0.1", 1), hop("172.16.0.1", 2), hop("10.5.7.1", 3)],
+        ),
+        // §5.4.8: every trace toward AS4 dies after 10.2.0.5.
+        trace(
+            "10.4.0.1",
+            4,
+            vec![hop("10.2.0.1", 1), hop("10.2.0.5", 2), gap(3), gap(4)],
+        ),
+        trace(
+            "10.4.128.1",
+            4,
+            vec![hop("10.2.0.1", 1), hop("10.2.0.5", 2), gap(3)],
+        ),
+    ];
+    let ip2as = w.input.ip2as_with_estimation(&traces);
+    let g = ObservedGraph::build(&traces, &AliasData::default(), &ip2as);
+    let map = infer(&g, &w.input, &ip2as, TraceCollection::default());
+
+    for r in 0..g.routers.len() {
+        assert_eq!(g.paths_through(r), scan_router_paths(&g, r), "router {r}");
+    }
+    for asn in (1..=9).map(Asn) {
+        let scanned: Vec<u32> = (0..g.paths.len() as u32)
+            .filter(|&p| g.paths[p as usize].target_as == asn)
+            .collect();
+        assert_eq!(g.paths_toward(asn), scanned, "{asn}");
+    }
+
+    let mut fired = BTreeSet::new();
+    for (r, rr) in g.routers.iter().enumerate() {
+        let got = (map.routers[r].owner, map.routers[r].heuristic);
+        let all_vp = rr.addrs.iter().all(|&a| ip2as.is_vp(a));
+        let unrouted = rr
+            .addrs
+            .iter()
+            .all(|&a| ip2as.lookup(a) == Mapping::Unrouted);
+        if all_vp && scan_vp_after(&g, &ip2as, r) {
+            assert_eq!(got, (Some(Asn(2)), Some(Heuristic::VpInternal)), "{rr:?}");
+        } else if all_vp && !rr.succs.is_empty() {
+            let common = scan_one_net_consecutive(&g, &ip2as, r).expect("step 4.2 applies");
+            assert_eq!(got, (Some(common), Some(Heuristic::OneNetConsecutive)));
+        } else if unrouted {
+            let after: Vec<Asn> = scan_unrouted_after(&g, &ip2as, r).into_iter().collect();
+            assert_eq!(after.len(), 1);
+            assert_eq!(got, (Some(after[0]), Some(Heuristic::UnroutedOneAs)));
+        }
+        fired.extend(got.1);
+    }
+    for h in [
+        Heuristic::VpInternal,
+        Heuristic::OneNetConsecutive,
+        Heuristic::UnroutedOneAs,
+    ] {
+        assert!(fired.contains(&h), "{h:?} did not fire: {fired:?}");
+    }
+
+    // §5.4.8: AS4's only link is a silent one at the router where every
+    // path toward AS4 ends.
+    let silent: Vec<_> = map.links.iter().filter(|l| l.far_as == Asn(4)).collect();
+    assert_eq!(silent.len(), 1, "{:?}", map.links);
+    assert_eq!(silent[0].heuristic, Heuristic::SilentNeighbor);
+    for path in g.paths.iter().filter(|p| p.target_as == Asn(4)) {
+        assert_eq!(path.routers.last().map(|&(r, _)| r), Some(silent[0].near));
+    }
 }

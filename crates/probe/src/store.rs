@@ -16,6 +16,12 @@
 //!          u16 hop_count | hop*
 //! hop   := u8 ttl | u8 flags | [u32 addr | u16 ipid]   (if flags&1)
 //! ```
+//!
+//! The reader is strict: it accepts exactly the bytes [`encode`] writes,
+//! so every accepted input re-encodes to itself. A stop code above 3,
+//! a flag bit other than the three defined, a flag set on a hop without
+//! an address, a record body longer than its trace, bytes after the
+//! last trace and a version other than 1 are all refused.
 
 use crate::engine::{ProbeBudget, TraceCollection};
 use crate::trace::{Trace, TraceHop, TraceStop};
@@ -25,13 +31,19 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 const MAGIC: &[u8; 4] = b"BDRW";
 /// Current format version.
 const VERSION: u16 = 1;
+/// Hop flag: an address (and IPID) follows.
+const HAS_ADDR: u8 = 1;
+/// Hop flag: the response was ICMP time-exceeded.
+const TIME_EXCEEDED: u8 = 2;
+/// Hop flag: the response was another ICMP message.
+const OTHER_ICMP: u8 = 4;
 
 /// Errors while reading a store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Not a bdrmap trace store.
     BadMagic,
-    /// Version newer than this reader.
+    /// A version this reader does not know.
     BadVersion(u16),
     /// Truncated or internally inconsistent.
     Truncated,
@@ -66,7 +78,13 @@ pub fn encode_trace(body: &mut BytesMut, tr: &Trace) {
         body.put_u8(h.ttl);
         match h.addr {
             Some(a) => {
-                let flags = 1u8 | ((h.time_exceeded as u8) << 1) | ((h.other_icmp as u8) << 2);
+                let mut flags = HAS_ADDR;
+                if h.time_exceeded {
+                    flags |= TIME_EXCEEDED;
+                }
+                if h.other_icmp {
+                    flags |= OTHER_ICMP;
+                }
                 body.put_u8(flags);
                 body.put_u32(u32::from(a));
                 body.put_u16(h.ipid);
@@ -88,7 +106,8 @@ pub fn decode_trace(body: &mut Bytes) -> Result<Trace, StoreError> {
         0 => TraceStop::Completed,
         1 => TraceStop::GapLimit,
         2 => TraceStop::StopSet,
-        _ => TraceStop::MaxTtl,
+        3 => TraceStop::MaxTtl,
+        _ => return Err(StoreError::Truncated),
     };
     let hop_count = body.get_u16() as usize;
     let mut hops = Vec::with_capacity(hop_count.min(1 << 12));
@@ -98,17 +117,23 @@ pub fn decode_trace(body: &mut Bytes) -> Result<Trace, StoreError> {
         }
         let ttl = body.get_u8();
         let flags = body.get_u8();
-        if flags & 1 != 0 {
+        if flags & !(HAS_ADDR | TIME_EXCEEDED | OTHER_ICMP) != 0 {
+            return Err(StoreError::Truncated);
+        }
+        if flags & HAS_ADDR != 0 {
             if body.remaining() < 6 {
                 return Err(StoreError::Truncated);
             }
             hops.push(TraceHop {
                 ttl,
                 addr: Some(bdrmap_types::addr(body.get_u32())),
-                time_exceeded: flags & 2 != 0,
-                other_icmp: flags & 4 != 0,
+                time_exceeded: flags & TIME_EXCEEDED != 0,
+                other_icmp: flags & OTHER_ICMP != 0,
                 ipid: body.get_u16(),
             });
+        } else if flags != 0 {
+            // A hop without an address carries no response flags.
+            return Err(StoreError::Truncated);
         } else {
             hops.push(TraceHop {
                 ttl,
@@ -175,7 +200,7 @@ pub fn decode(mut data: Bytes) -> Result<TraceCollection, StoreError> {
         return Err(StoreError::BadMagic);
     }
     let version = data.get_u16();
-    if version > VERSION {
+    if version != VERSION {
         return Err(StoreError::BadVersion(version));
     }
     let packets = data.get_u64();
@@ -192,6 +217,12 @@ pub fn decode(mut data: Bytes) -> Result<TraceCollection, StoreError> {
         }
         let mut body = data.split_to(body_len);
         traces.push(decode_trace(&mut body)?);
+        if body.remaining() > 0 {
+            return Err(StoreError::Truncated);
+        }
+    }
+    if data.remaining() > 0 {
+        return Err(StoreError::Truncated);
     }
     Ok(TraceCollection {
         traces,
@@ -343,6 +374,57 @@ mod tests {
             let cut_data = full.slice(..cut);
             assert!(decode(cut_data).is_err(), "cut at {cut} must not decode");
         }
+    }
+
+    /// Bytes `encode` never writes are refused, so whatever is accepted
+    /// re-encodes to itself.
+    #[test]
+    fn rejects_bytes_the_encoder_never_writes() {
+        let full = encode(&sample()).to_vec();
+        let err = |bytes: &[u8]| decode(Bytes::copy_from_slice(bytes)).err();
+        assert_eq!(err(&full), None);
+        // Header (26 bytes), then trace 0's body length, dst, target AS,
+        // stop code, hop count; its hops start at offset 41.
+        const STOP: usize = 26 + 4 + 4 + 4;
+        const HOP0_FLAGS: usize = STOP + 1 + 2 + 1;
+        const HOP1_FLAGS: usize = HOP0_FLAGS + 1 + 6 + 1;
+        assert_eq!(full[STOP], 0);
+        assert_eq!(full[HOP0_FLAGS], HAS_ADDR | TIME_EXCEEDED);
+        assert_eq!(full[HOP1_FLAGS], 0);
+
+        let patched = |i: usize, v: u8| {
+            let mut b = full.clone();
+            b[i] = v;
+            b
+        };
+        for stop in [4, 0xff] {
+            assert_eq!(err(&patched(STOP, stop)), Some(StoreError::Truncated));
+        }
+        for flags in [8, 0x80, HAS_ADDR | 0x10] {
+            assert_eq!(
+                err(&patched(HOP0_FLAGS, flags)),
+                Some(StoreError::Truncated)
+            );
+        }
+        for flags in [TIME_EXCEEDED, OTHER_ICMP] {
+            assert_eq!(
+                err(&patched(HOP1_FLAGS, flags)),
+                Some(StoreError::Truncated)
+            );
+        }
+        assert_eq!(err(&patched(5, 0)), Some(StoreError::BadVersion(0)));
+
+        // A record body longer than its trace: grow trace 0's length
+        // prefix by one and pad the body to match.
+        let mut long = full.clone();
+        let len = u32::from_be_bytes(long[26..30].try_into().unwrap());
+        long[26..30].copy_from_slice(&(len + 1).to_be_bytes());
+        long.insert(30 + len as usize, 0);
+        assert_eq!(err(&long), Some(StoreError::Truncated));
+
+        let mut trailing = full.clone();
+        trailing.push(0);
+        assert_eq!(err(&trailing), Some(StoreError::Truncated));
     }
 
     #[test]
