@@ -1,5 +1,6 @@
 //! Seeded structure-aware fuzzing of the BDRM v4 snapshot reader, the
-//! bdrmapd wire protocol and the trace-store codec.
+//! bdrmapd wire protocol, the trace-store codec and the BDRC probe
+//! checkpoint reader.
 //!
 //! No external fuzzing engine: a splitmix64 generator (the same
 //! pattern as the dataplane fault layer) drives every draw, so a run
@@ -36,15 +37,25 @@
 //! The trace-store codec ([`bdrmap_probe::store`]) is held to both
 //! properties with no exemption: it is what `bdrmap infer --in`, probe
 //! checkpoints, journal records and journal checkpoints read back.
+//!
+//! So is the BDRC checkpoint reader ([`Checkpoint::decode`]), whose
+//! corpus is every checkpoint a tiny checkpointed probing run writes.
+//! Half its mutants get a recomputed CRC32C trailer, so they reach the
+//! structural checks behind the checksum; a re-sealed mutant that is
+//! accepted must still re-encode to its own bytes.
 
 use bdrmap_core::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 use bdrmap_core::{flat, snapshot, QueryRead, V3View};
 use bdrmap_probe::{store, ProbeBudget, Trace, TraceCollection, TraceHop, TraceStop};
+use bdrmap_probe::{Checkpoint, CheckpointConfig, RunOptions};
 use bdrmap_serve::{answer, Request, Response};
+use bdrmap_types::integrity::crc32c;
 use bdrmap_types::wire::read_frame;
-use bdrmap_types::{addr, Addr, Asn, Prefix};
+use bdrmap_types::{addr, Addr, Asn, Prefix, Vfs, VfsBackend};
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// One splitmix64 step.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -74,6 +85,10 @@ pub struct FuzzReport {
     pub trace_store_cases: u64,
     /// Trace-store mutants the codec accepted.
     pub trace_store_accepted: u64,
+    /// Mutants aimed at the BDRC checkpoint reader.
+    pub checkpoint_cases: u64,
+    /// Checkpoint mutants the reader accepted.
+    pub checkpoint_accepted: u64,
     /// Mutants the decoder accepted.
     pub accepted: u64,
     /// Mutants the decoder rejected with a typed error.
@@ -94,7 +109,7 @@ impl FuzzReport {
     /// Stable JSON for CI logs.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"fuzz\",\n  \"schema\": 1,\n  \"iterations\": {},\n  \"snapshot_cases\": {},\n  \"snapshot_accepted\": {},\n  \"wire_cases\": {},\n  \"frame_cases\": {},\n  \"trace_store_cases\": {},\n  \"trace_store_accepted\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \"panics\": {},\n  \"canonical_violations\": {}\n}}\n",
+            "{{\n  \"bench\": \"fuzz\",\n  \"schema\": 1,\n  \"iterations\": {},\n  \"snapshot_cases\": {},\n  \"snapshot_accepted\": {},\n  \"wire_cases\": {},\n  \"frame_cases\": {},\n  \"trace_store_cases\": {},\n  \"trace_store_accepted\": {},\n  \"checkpoint_cases\": {},\n  \"checkpoint_accepted\": {},\n  \"accepted\": {},\n  \"rejected\": {},\n  \"panics\": {},\n  \"canonical_violations\": {}\n}}\n",
             self.iterations,
             self.snapshot_cases,
             self.snapshot_accepted,
@@ -102,6 +117,8 @@ impl FuzzReport {
             self.frame_cases,
             self.trace_store_cases,
             self.trace_store_accepted,
+            self.checkpoint_cases,
+            self.checkpoint_accepted,
             self.accepted,
             self.rejected,
             self.panics,
@@ -313,6 +330,91 @@ fn check_trace_store(bytes: &[u8]) -> Outcome {
         Err(_) => Outcome::Panicked,
         Ok(Err(_)) => Outcome::Rejected,
         Ok(Ok(coll)) if store::encode(&coll)[..] == *bytes => Outcome::Accepted,
+        Ok(Ok(_)) => Outcome::NotCanonical,
+    }
+}
+
+/// A filesystem that keeps every atomically written file in memory, in
+/// write order, and refuses everything else.
+#[derive(Clone, Default)]
+struct Recorder(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl VfsBackend for Recorder {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        Err(std::io::Error::other(format!(
+            "{}: not recorded",
+            path.display()
+        )))
+    }
+    fn write_atomic(&self, _: &Path, data: &[u8]) -> std::io::Result<()> {
+        self.0.lock().expect("recorder lock").push(data.to_vec());
+        Ok(())
+    }
+    fn append(&self, path: &Path, _: &[u8]) -> std::io::Result<()> {
+        Err(std::io::Error::other(format!(
+            "{}: append unsupported",
+            path.display()
+        )))
+    }
+    fn rename(&self, from: &Path, _: &Path) -> std::io::Result<()> {
+        Err(std::io::Error::other(format!(
+            "{}: rename unsupported",
+            from.display()
+        )))
+    }
+    fn create_dir_all(&self, _: &Path) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Every checkpoint a checkpointed probing run of the first six target
+/// ASes of a tiny world writes, one after every second AS: router
+/// runtime state of every table, and trace blobs from small to full.
+fn checkpoint_corpus() -> Vec<Vec<u8>> {
+    let sc = bdrmap_eval::Scenario::build("tiny", &bdrmap_topo::TopoConfig::tiny(42));
+    let targets = bdrmap_probe::target_blocks(&sc.input.view, &sc.input.vp_asns);
+    let ip2as = sc.input.ip2as_for_probing();
+    let recorder = Recorder::default();
+    let cfg = CheckpointConfig {
+        every: 2,
+        path: "fuzz.bdrc".into(),
+        vfs: Vfs::new(recorder.clone()),
+    };
+    let opts = RunOptions {
+        parallelism: 1,
+        ..RunOptions::default()
+    };
+    bdrmap_probe::run_traces_checkpointed(
+        &sc.engine(0),
+        &targets[..targets.len().min(6)],
+        opts,
+        |a| ip2as.is_external(a),
+        &cfg,
+        None,
+    )
+    .expect("recorded checkpoints never fail");
+    let written = recorder.0.lock().expect("recorder lock").clone();
+    written
+}
+
+/// Recompute a checkpoint mutant's CRC32C trailer over its body.
+fn reseal_checkpoint(bytes: &mut [u8]) {
+    if let Some(body) = bytes.len().checked_sub(4) {
+        let crc = crc32c(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_be_bytes());
+    }
+}
+
+/// Decode a checkpoint mutant and enforce both properties: no panic,
+/// and an accepted checkpoint re-encodes to exactly its own bytes.
+fn check_checkpoint(bytes: &[u8]) -> Outcome {
+    let decoded = catch_unwind(AssertUnwindSafe(|| {
+        Checkpoint::decode(bytes::Bytes::copy_from_slice(bytes))
+    }));
+    match decoded {
+        Err(_) => Outcome::Panicked,
+        Ok(Err(_)) => Outcome::Rejected,
+        Ok(Ok(cp)) if cp.encode()[..] == *bytes => Outcome::Accepted,
         Ok(Ok(_)) => Outcome::NotCanonical,
     }
 }
@@ -530,7 +632,7 @@ fn check_frame(bytes: &[u8]) -> Outcome {
     }
 }
 
-/// Run `iters` seeded mutants across all four targets.
+/// Run `iters` seeded mutants across all five targets.
 pub fn run(seed: u64, iters: u64) -> FuzzReport {
     let mut rng = seed ^ 0xbd2_3a93;
     let corpus = snapshot_corpus();
@@ -545,10 +647,11 @@ pub fn run(seed: u64, iters: u64) -> FuzzReport {
         .collect();
     let wires = wire_corpus();
     let stores = trace_store_corpus();
+    let checkpoints = checkpoint_corpus();
     let mut report = FuzzReport::default();
     for _ in 0..iters {
         report.iterations += 1;
-        let outcome = match splitmix64(&mut rng) % 6 {
+        let outcome = match splitmix64(&mut rng) % 7 {
             // Snapshot reader gets the biggest share: it guards
             // persistence, where corruption is stickiest.
             0 | 1 => {
@@ -576,12 +679,25 @@ pub fn run(seed: u64, iters: u64) -> FuzzReport {
                 framed.extend_from_slice(base);
                 check_frame(&mutate(&framed, &mut rng))
             }
-            _ => {
+            5 => {
                 report.trace_store_cases += 1;
                 let base = &stores[(splitmix64(&mut rng) as usize) % stores.len()];
                 let outcome = check_trace_store(&mutate(base, &mut rng));
                 if matches!(outcome, Outcome::Accepted | Outcome::NotCanonical) {
                     report.trace_store_accepted += 1;
+                }
+                outcome
+            }
+            _ => {
+                report.checkpoint_cases += 1;
+                let base = &checkpoints[(splitmix64(&mut rng) as usize) % checkpoints.len()];
+                let mut mutant = mutate(base, &mut rng);
+                if splitmix64(&mut rng) & 1 == 0 {
+                    reseal_checkpoint(&mut mutant);
+                }
+                let outcome = check_checkpoint(&mutant);
+                if matches!(outcome, Outcome::Accepted | Outcome::NotCanonical) {
+                    report.checkpoint_accepted += 1;
                 }
                 outcome
             }
@@ -612,6 +728,13 @@ mod tests {
         for bytes in trace_store_corpus() {
             assert!(matches!(check_trace_store(&bytes), Outcome::Accepted));
         }
+        let checkpoints = checkpoint_corpus();
+        assert_eq!(checkpoints.len(), 3, "one checkpoint per two target ASes");
+        for bytes in &checkpoints {
+            assert!(matches!(check_checkpoint(bytes), Outcome::Accepted));
+            let cp = Checkpoint::decode(bytes::Bytes::copy_from_slice(bytes)).unwrap();
+            assert!(!cp.traces.is_empty() && !cp.runtime.shared.is_empty());
+        }
     }
 
     #[test]
@@ -633,6 +756,11 @@ mod tests {
             a.trace_store_cases > 0 && a.trace_store_accepted > 0,
             "trace-store mutants reach acceptance: {a:?}"
         );
+        assert!(
+            a.checkpoint_cases > 0 && a.checkpoint_accepted > 0,
+            "checkpoint mutants reach acceptance: {a:?}"
+        );
+        assert_eq!(a.checkpoint_accepted, b.checkpoint_accepted);
     }
 
     /// A re-sealed mutant passes the checksums, so what is left to

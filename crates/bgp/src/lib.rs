@@ -24,7 +24,7 @@ pub mod relinfer;
 pub mod view;
 
 pub use graph::AsGraph;
-pub use origin::{AdvertisementScope, OriginTable, Origination};
-pub use propagate::{BestRoute, RouteClass, RoutingOracle};
+pub use origin::{AdvertisementScope, OriginTable, Origination, OriginationId};
+pub use propagate::{BestRoute, RouteClass, RouteTree, RoutingOracle};
 pub use relinfer::InferredRelationships;
 pub use view::CollectorView;

@@ -61,18 +61,32 @@ pub struct Origination {
     pub scope: AdvertisementScope,
 }
 
+/// Dense index of an origination in its [`OriginTable`]: the order in
+/// which prefixes were first announced. A table never drops an entry,
+/// so an index stays valid for the table's life.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct OriginationId(pub u32);
+
+impl OriginationId {
+    /// The index as a `usize`.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The global table of originations, with longest-prefix-match lookup.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct OriginTable {
-    trie: PrefixTrie<Origination>,
+    /// Prefix → index into `entries`.
+    trie: PrefixTrie<u32>,
+    /// Originations by [`OriginationId`].
+    entries: Vec<Origination>,
 }
 
 impl OriginTable {
     /// An empty table.
     pub fn new() -> OriginTable {
-        OriginTable {
-            trie: PrefixTrie::new(),
-        }
+        OriginTable::default()
     }
 
     /// Announce `prefix` from a single origin to everyone.
@@ -81,7 +95,7 @@ impl OriginTable {
     }
 
     /// Announce `prefix` with explicit origins and scope. Replaces any
-    /// existing origination of exactly this prefix.
+    /// existing origination of exactly this prefix, keeping its index.
     pub fn announce_scoped(
         &mut self,
         prefix: Prefix,
@@ -89,40 +103,56 @@ impl OriginTable {
         scope: AdvertisementScope,
     ) {
         assert!(!origins.is_empty(), "origination needs at least one origin");
-        self.trie.insert(
+        let o = Origination {
             prefix,
-            Origination {
-                prefix,
-                origins,
-                scope,
-            },
-        );
+            origins,
+            scope,
+        };
+        match self.trie.get(prefix) {
+            Some(&i) => self.entries[i as usize] = o,
+            None => {
+                self.trie.insert(prefix, self.entries.len() as u32);
+                self.entries.push(o);
+            }
+        }
     }
 
     /// Longest-match origination for an address: the BGP prefix that
     /// covers it, and who originates that prefix.
     pub fn lookup(&self, a: bdrmap_types::Addr) -> Option<&Origination> {
-        self.trie.lookup(a).map(|(_, o)| o)
+        self.lookup_id(a).map(|(_, o)| o)
+    }
+
+    /// [`lookup`](Self::lookup), with the origination's index.
+    pub fn lookup_id(&self, a: bdrmap_types::Addr) -> Option<(OriginationId, &Origination)> {
+        self.trie
+            .lookup(a)
+            .map(|(_, &i)| (OriginationId(i), &self.entries[i as usize]))
     }
 
     /// Exact-match origination.
     pub fn get(&self, p: Prefix) -> Option<&Origination> {
-        self.trie.get(p)
+        self.trie.get(p).map(|&i| &self.entries[i as usize])
     }
 
-    /// Iterate over all originations.
+    /// The origination at an index.
+    pub fn by_id(&self, id: OriginationId) -> &Origination {
+        &self.entries[id.index()]
+    }
+
+    /// Iterate over all originations, in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = &Origination> {
-        self.trie.iter().map(|(_, o)| o)
+        self.trie.iter().map(|(_, &i)| &self.entries[i as usize])
     }
 
     /// Number of originated prefixes.
     pub fn len(&self) -> usize {
-        self.trie.len()
+        self.entries.len()
     }
 
     /// True if no prefixes are originated.
     pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
+        self.entries.is_empty()
     }
 
     /// All prefixes originated (primary origin) by `a`.
@@ -184,6 +214,26 @@ mod tests {
             },
         ]);
         assert_eq!(s.neighbor_filter(), Some(vec![Asn(3), Asn(5)]));
+    }
+
+    #[test]
+    fn ids_are_dense_and_survive_replacement() {
+        let mut t = OriginTable::new();
+        t.announce(p("10.0.0.0/8"), Asn(1));
+        t.announce(p("10.1.0.0/16"), Asn(2));
+        t.announce_scoped(p("10.0.0.0/8"), vec![Asn(3)], AdvertisementScope::All);
+        assert_eq!(t.len(), 2);
+        let (id, o) = t.lookup_id("10.1.2.3".parse().unwrap()).unwrap();
+        assert_eq!(
+            (id, o.origins.as_slice()),
+            (OriginationId(1), &[Asn(2)][..])
+        );
+        let (id, o) = t.lookup_id("10.2.0.1".parse().unwrap()).unwrap();
+        assert_eq!(
+            (id, o.origins.as_slice()),
+            (OriginationId(0), &[Asn(3)][..])
+        );
+        assert_eq!(t.by_id(id).prefix, p("10.0.0.0/8"));
     }
 
     #[test]

@@ -11,17 +11,19 @@
 //! customers always, but exports to peers and providers only routes it
 //! originated or learned from a customer.
 //!
-//! Results are cached per *origination key* — (origin set, neighbor
+//! Results are shared per *origination key* — (origin set, neighbor
 //! filter) — because every prefix announced the same way by the same
 //! origin propagates identically. This keeps the memory cost proportional
-//! to the number of ASes rather than (ASes × prefixes).
+//! to the number of ASes rather than (ASes × prefixes). The oracle maps
+//! each origination of its table to its key's slot once, when it is
+//! built, and propagates a slot's tree on first use.
 
 use crate::graph::AsGraph;
-use crate::origin::{OriginTable, Origination};
+use crate::origin::{OriginTable, Origination, OriginationId};
 use bdrmap_types::{Asn, Prefix, Relationship};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// How an AS's best route for a prefix was learned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -147,7 +149,14 @@ fn key_of(o: &Origination) -> OriginationKey {
 pub struct RoutingOracle {
     graph: AsGraph,
     origins: OriginTable,
-    cache: RwLock<HashMap<OriginationKey, Arc<RouteTree>>>,
+    /// Route-tree slot of each origination, by [`OriginationId`].
+    slot_of: Box<[u32]>,
+    /// The key of each slot.
+    keys: Box<[OriginationKey]>,
+    /// The slot of each key.
+    slot_by_key: HashMap<OriginationKey, u32>,
+    /// Each slot's tree, propagated on first use.
+    trees: Box<[OnceLock<Arc<RouteTree>>]>,
 }
 
 impl RoutingOracle {
@@ -161,10 +170,24 @@ impl RoutingOracle {
             graph.provider_customer_acyclic(),
             "provider-customer cycle in AS graph"
         );
+        let mut keys = Vec::new();
+        let mut slot_by_key = HashMap::new();
+        let slot_of = (0..origins.len() as u32)
+            .map(|i| {
+                let key = key_of(origins.by_id(OriginationId(i)));
+                *slot_by_key.entry(key).or_insert_with_key(|key| {
+                    keys.push(key.clone());
+                    keys.len() as u32 - 1
+                })
+            })
+            .collect();
         RoutingOracle {
             graph,
             origins,
-            cache: RwLock::new(HashMap::new()),
+            slot_of,
+            trees: (0..keys.len()).map(|_| OnceLock::new()).collect(),
+            keys: keys.into_boxed_slice(),
+            slot_by_key,
         }
     }
 
@@ -178,32 +201,40 @@ impl RoutingOracle {
         &self.origins
     }
 
-    /// The route tree for an origination (cached).
+    fn slot_tree(&self, slot: u32) -> &Arc<RouteTree> {
+        self.trees[slot as usize]
+            .get_or_init(|| Arc::new(self.propagate(&self.keys[slot as usize])))
+    }
+
+    /// The route tree for an origination. Originations of the oracle's
+    /// table share their key's tree; any other is propagated afresh on
+    /// every call.
     pub fn route_tree(&self, o: &Origination) -> Arc<RouteTree> {
         let key = key_of(o);
-        if let Some(t) = self.cache.read().expect("cache lock").get(&key) {
-            return Arc::clone(t);
+        match self.slot_by_key.get(&key) {
+            Some(&slot) => Arc::clone(self.slot_tree(slot)),
+            None => Arc::new(self.propagate(&key)),
         }
-        let tree = Arc::new(self.propagate(&key));
-        self.cache
-            .write()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&tree));
-        tree
+    }
+
+    /// The route tree for an origination of the oracle's table, by
+    /// index: no key is built or hashed.
+    pub fn tree(&self, id: OriginationId) -> &RouteTree {
+        self.slot_tree(self.slot_of[id.index()])
     }
 
     /// The route tree for the longest-match prefix covering `d`, together
     /// with that origination. `None` if `d` is unrouted.
     pub fn route_tree_for(&self, d: bdrmap_types::Addr) -> Option<(&Origination, Arc<RouteTree>)> {
-        let o = self.origins.lookup(d)?;
-        Some((o, self.route_tree(o)))
+        let (id, o) = self.origins.lookup_id(d)?;
+        Some((o, Arc::clone(self.slot_tree(self.slot_of[id.index()]))))
     }
 
     /// AS `a`'s best route toward destination address `d`, with the
     /// matched prefix. `None` if unrouted or not propagated to `a`.
     pub fn best_route(&self, a: Asn, d: bdrmap_types::Addr) -> Option<(Prefix, BestRoute)> {
-        let (o, tree) = self.route_tree_for(d)?;
-        tree.route(a).map(|r| (o.prefix, r))
+        let (id, o) = self.origins.lookup_id(d)?;
+        self.tree(id).route(a).map(|r| (o.prefix, r))
     }
 
     /// All neighbors of `a` whose route toward `o` is exactly as good as
@@ -215,14 +246,25 @@ impl RoutingOracle {
     /// Returns an empty vector if `a` has no route or originates the
     /// prefix itself.
     pub fn tied_next_hops(&self, a: Asn, o: &Origination) -> Vec<Asn> {
-        let tree = self.route_tree(o);
+        let filter = o.scope.neighbor_filter();
+        self.tied_in(a, &self.route_tree(o), filter.as_deref())
+    }
+
+    /// [`tied_next_hops`](Self::tied_next_hops) for an origination of
+    /// the oracle's table, by index.
+    pub fn tied_next_hops_of(&self, a: Asn, id: OriginationId) -> Vec<Asn> {
+        let slot = self.slot_of[id.index()];
+        let filter = self.keys[slot as usize].filter.as_deref();
+        self.tied_in(a, self.slot_tree(slot), filter)
+    }
+
+    fn tied_in(&self, a: Asn, tree: &RouteTree, filter: Option<&[Asn]>) -> Vec<Asn> {
         let Some(best) = tree.route(a) else {
             return Vec::new();
         };
         if best.class == RouteClass::Origin {
             return Vec::new();
         }
-        let key = key_of(o);
         let mut out = Vec::new();
         for &(v, role_of_v) in self.graph.neighbors(a) {
             let Some(vr) = tree.route(v) else { continue };
@@ -232,7 +274,7 @@ impl RoutingOracle {
                 continue;
             }
             if vr.class == RouteClass::Origin {
-                if let Some(f) = &key.filter {
+                if let Some(f) = filter {
                     if !f.contains(&a) {
                         continue;
                     }
@@ -487,6 +529,38 @@ mod tests {
             Arc::ptr_eq(&t1, &t2),
             "same origination key must share the tree"
         );
+    }
+
+    #[test]
+    fn indexed_lookups_agree_with_keyed_ones() {
+        let (mut g, mut t) = fixture();
+        g.add_link(Asn(2), Asn(4), Relationship::Customer);
+        t.announce_scoped(
+            p("10.44.0.0/16"),
+            vec![Asn(4)],
+            AdvertisementScope::Neighbors(vec![Asn(3)]),
+        );
+        t.announce(p("10.40.0.0/16"), Asn(4));
+        let oracle = RoutingOracle::new(g, t);
+        for d in ["10.4.0.1", "10.44.0.1", "10.40.0.1"] {
+            let (id, o) = oracle.origins().lookup_id(d.parse().unwrap()).unwrap();
+            let keyed = oracle.route_tree(o);
+            assert!(std::ptr::eq(oracle.tree(id), &*keyed));
+            for a in 1..=4 {
+                assert_eq!(
+                    oracle.tied_next_hops_of(Asn(a), id),
+                    oracle.tied_next_hops(Asn(a), o),
+                    "{d} from AS{a}"
+                );
+            }
+        }
+        // An origination outside the table still propagates.
+        let foreign = Origination {
+            prefix: p("10.99.0.0/16"),
+            origins: vec![Asn(1)],
+            scope: AdvertisementScope::All,
+        };
+        assert_eq!(oracle.route_tree(&foreign).reachable_count(), 4);
     }
 
     #[test]

@@ -1311,8 +1311,9 @@ fn scale_loops_from_exposition(text: &str) -> Vec<bdrmap_serve::ScaleLoopStat> {
 }
 
 /// `bdrmap fuzz`: seeded structure-aware fuzzing of the BDRM snapshot
-/// codec, the wire protocol, and the frame reader. Fails (exit 1) on
-/// any panic or any accepted-but-non-canonical input.
+/// codec, the wire protocol, the frame reader, the trace store and the
+/// BDRC checkpoint reader. Fails (exit 1) on any panic or any
+/// accepted-but-non-canonical input.
 pub fn fuzz(args: &Args) -> Result<(), ArgError> {
     let iters: u64 = args.get_parse("iters", 10_000)?;
     let seed: u64 = args.get_parse("fuzz-seed", 42)?;
@@ -1321,11 +1322,13 @@ pub fn fuzz(args: &Args) -> Result<(), ArgError> {
     }
     let report = bdrmap_bench::fuzz::run(seed, iters);
     println!(
-        "fuzz seed {seed}: {} mutants ({} snapshot, {} wire, {} frame) | {} accepted, {} rejected",
+        "fuzz seed {seed}: {} mutants ({} snapshot, {} wire, {} frame, {} trace store, {} checkpoint) | {} accepted, {} rejected",
         report.iterations,
         report.snapshot_cases,
         report.wire_cases,
         report.frame_cases,
+        report.trace_store_cases,
+        report.checkpoint_cases,
         report.accepted,
         report.rejected
     );
@@ -1965,10 +1968,9 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
         short_write: 2,
         fsync_fail: 1,
         torn_rename: 1,
-        // Reads must stay honest here: a silently flipped bit in a
-        // checkpoint that still decodes would poison the resume. The
-        // read-back-verified snapstore path owns bit-rot coverage.
-        bit_rot: 0,
+        // A rotted checkpoint fails its CRC32C and costs a from-scratch
+        // attempt; a rotted trace-store read-back costs a rewrite.
+        bit_rot: 1,
         rename_fail: 0,
     };
     let fs_probe = ChaosVfs::new(ChaosFsConfig {

@@ -4,6 +4,7 @@ use crate::faults::FaultPlan;
 use crate::packet::{Probe, ProbeKind, RespKind, Response, UnreachReason};
 use crate::runtime::Runtime;
 use crate::spt::{fnv, InternalGraph, SptCache};
+use bdrmap_bgp::{OriginationId, RouteClass, RouteTree};
 use bdrmap_topo::{ExportStrategy, IfaceKind, Internet, LinkKind, ResponsePolicy, SrcSelect};
 use bdrmap_types::{Addr, Asn, IfaceId, LinkId, OrgId, RouterId};
 use parking_lot::RwLock;
@@ -69,6 +70,71 @@ struct EgressLink {
 /// Cached egress link sets keyed by (organisation, neighbor AS).
 type EgressCache = RwLock<HashMap<(OrgId, Asn), Arc<Vec<EgressLink>>>>;
 
+/// One allowed way out in an egress plan: the link, and the neighbor AS
+/// whose candidacy admitted it (the flow hash mixes its number in).
+#[derive(Clone, Copy, Debug)]
+struct PlannedLink {
+    link: EgressLink,
+    neighbor: Asn,
+}
+
+/// An organisation's egress decision toward one origination, up to the
+/// two things that vary per hop: the IGP distance from the current
+/// router to each link, and the flow hash that breaks ties.
+enum Plan {
+    /// The organisation originates the covering prefix and learned no
+    /// external candidate: traffic leaves toward the AS that holds the
+    /// destination, by the plan keyed on that AS.
+    Fallback,
+    /// The allowed egress links, candidate by candidate, each
+    /// candidate's links in ordinal order; none if no member of the
+    /// organisation has a route.
+    Links(Box<[PlannedLink]>),
+}
+
+/// Which plan: an organisation's own toward an origination, or (with
+/// `fallback_to`) its [`Plan::Fallback`] toward the AS holding the
+/// destination.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct PlanKey {
+    org: OrgId,
+    origination: OriginationId,
+    fallback_to: Option<Asn>,
+}
+
+/// What forwarding needs to know about a destination address, looked up
+/// once per probe rather than once per hop.
+#[derive(Clone, Copy)]
+struct Dest {
+    addr: Addr,
+    /// The router the address is an interface of.
+    router: Option<RouterId>,
+    /// Where the address lives: `router`, else the router its covering
+    /// subnet or prefix is homed at.
+    home: Option<RouterId>,
+    /// The origination covering the address.
+    origination: Option<OriginationId>,
+}
+
+/// A VP address's return-path facts, computed once per data plane.
+struct VpFacts {
+    /// The router the VP hangs off.
+    attach: RouterId,
+    /// The VP address as a destination, for responses sourced toward
+    /// the prober.
+    dest: Dest,
+    /// Routes toward the VP address's covering prefix: an AS can answer
+    /// the VP only if it has one.
+    tree: Option<Arc<RouteTree>>,
+}
+
+/// One probe in flight: the probe and its per-probe facts.
+struct Walk<'a> {
+    p: &'a Probe,
+    vp: &'a VpFacts,
+    dest: Dest,
+}
+
 /// Result of a single routing decision at a router.
 enum Step {
     /// Hand the packet to `next`, arriving on `in_iface`; it left through
@@ -106,9 +172,12 @@ pub struct DataPlane {
     oracle: bdrmap_bgp::RoutingOracle,
     spt: SptCache,
     runtime: Runtime,
-    vp_by_addr: HashMap<Addr, RouterId>,
+    /// Return-path facts of each VP address.
+    vps: HashMap<Addr, VpFacts>,
     /// Egress link sets keyed by (org of current AS, neighbor AS).
     egress_cache: EgressCache,
+    /// Egress plans, each built on first use.
+    plans: RwLock<HashMap<PlanKey, Arc<Plan>>>,
     /// Org membership for quick checks.
     org_of_as: Vec<OrgId>,
     /// Members of each organisation (usually one; the VP org may have
@@ -128,7 +197,6 @@ impl DataPlane {
     pub fn new(net: Internet) -> DataPlane {
         let oracle = bdrmap_bgp::RoutingOracle::new(net.graph.clone(), net.origins.clone());
         let spt = SptCache::new(InternalGraph::build(&net));
-        let vp_by_addr = net.vps.iter().map(|v| (v.addr, v.attach)).collect();
         let org_of_as: Vec<OrgId> = (0..=net.graph.num_ases() as u32)
             .map(|a| {
                 if a == 0 {
@@ -142,19 +210,34 @@ impl DataPlane {
         for a in net.graph.ases() {
             org_members.entry(net.graph.org(a)).or_default().push(a);
         }
-        DataPlane {
+        let mut dp = DataPlane {
             net,
             oracle,
             spt,
             runtime: Runtime::new(),
-            vp_by_addr,
+            vps: HashMap::new(),
             egress_cache: RwLock::new(HashMap::new()),
+            plans: RwLock::new(HashMap::new()),
             org_of_as,
             org_members,
             congestion: RwLock::new(HashMap::new()),
             faults: RwLock::new(Arc::new(FaultPlan::none())),
             faults_active: AtomicBool::new(false),
-        }
+        };
+        dp.vps = dp
+            .net
+            .vps
+            .iter()
+            .map(|v| {
+                let facts = VpFacts {
+                    attach: v.attach,
+                    dest: dp.dest(v.addr),
+                    tree: dp.oracle.route_tree_for(v.addr).map(|(_, t)| t),
+                };
+                (v.addr, facts)
+            })
+            .collect();
+        dp
     }
 
     /// Install a fault plan. A no-op plan (all rates zero) disables the
@@ -232,13 +315,15 @@ impl DataPlane {
         self.org(self.net.routers[r.index()].owner)
     }
 
-    /// Ground-truth location of an address: the router it is on, or the
-    /// router its covering subnet/prefix is homed at.
-    fn target_router(&self, dst: Addr) -> Option<RouterId> {
-        if let Some(r) = self.net.router_of_addr(dst) {
-            return Some(r);
+    /// The per-probe facts of a destination address.
+    fn dest(&self, addr: Addr) -> Dest {
+        let router = self.net.router_of_addr(addr);
+        Dest {
+            addr,
+            router,
+            home: router.or_else(|| self.net.dest_home.lookup(addr).map(|(_, &r)| r)),
+            origination: self.oracle.origins().lookup_id(addr).map(|(id, _)| id),
         }
-        self.net.dest_home.lookup(dst).map(|(_, &r)| r)
     }
 
     // ------------------------------------------------------------ egress
@@ -360,42 +445,52 @@ impl DataPlane {
         }
     }
 
-    /// Pick the hot-potato egress toward destination `dst` from router
-    /// `cur`, over the union of BGP-multipath-tied next-hop ASes of
-    /// every AS in the router's organisation (iBGP across siblings).
-    fn pick_egress(&self, cur: RouterId, dst: Addr, flow: u16) -> Option<EgressLink> {
-        let owner = self.net.routers[cur.index()].owner;
-        let org = self.org(owner);
-        let origination = self.oracle.origins().lookup(dst)?;
-        let tree = self.oracle.route_tree(origination);
+    /// The plan under `key`, built on first use.
+    fn plan(&self, key: PlanKey) -> Arc<Plan> {
+        if let Some(p) = self.plans.read().get(&key) {
+            return Arc::clone(p);
+        }
+        let plan = Arc::new(match key.fallback_to {
+            None => self.build_plan(key.org, key.origination),
+            Some(n) => self.plan_links(key.org, &[n], key.origination),
+        });
+        Arc::clone(self.plans.write().entry(key).or_insert(plan))
+    }
+
+    /// Organisation `org`'s egress plan toward an origination: the
+    /// union of BGP-multipath-tied next-hop ASes of every AS in the
+    /// organisation (iBGP across siblings), each narrowed to the links
+    /// its export strategy places the prefix on.
+    fn build_plan(&self, org: OrgId, id: OriginationId) -> Plan {
+        let tree = self.oracle.tree(id);
         // The org's members share routes; collect the union of their
         // externally-learned candidates. Same-org "next hops" (a sibling
         // taking transit from its parent AS) are internal, not egress.
-        let members = &self.org_members[&org];
         let mut candidates: Vec<Asn> = Vec::new();
         let mut best: Option<bdrmap_bgp::BestRoute> = None;
-        for &m in members {
+        for &m in &self.org_members[&org] {
             let Some(r) = tree.route(m) else { continue };
             if best.is_none() {
                 best = Some(r);
             }
-            if r.class == bdrmap_bgp::RouteClass::Origin {
+            if r.class == RouteClass::Origin {
                 continue;
             }
-            for n in self.oracle.tied_next_hops(m, origination) {
+            for n in self.oracle.tied_next_hops_of(m, id) {
                 if self.org(n) != org && !candidates.contains(&n) {
                     candidates.push(n);
                 }
             }
         }
-        let best = best?;
-        if best.class == bdrmap_bgp::RouteClass::Origin && candidates.is_empty() {
+        let Some(best) = best else {
+            return Plan::Links(Box::new([]));
+        };
+        if best.class == RouteClass::Origin && candidates.is_empty() {
             // The org announces the covering prefix but the address
             // physically lives elsewhere (PA space, neighbor link
             // subnets): fall back to a direct link toward the AS that
             // has it.
-            let t = self.target_router(dst)?;
-            candidates = vec![self.net.routers[t.index()].owner];
+            return Plan::Fallback;
         }
         if candidates.is_empty() {
             if let Some(nh) = best.next_hop {
@@ -404,11 +499,16 @@ impl DataPlane {
                 }
             }
         }
-        if candidates.is_empty() {
-            return None;
-        }
-        let mut best_choice: Option<(u64, EgressLink)> = None;
-        for n in candidates {
+        self.plan_links(org, &candidates, id)
+    }
+
+    /// The links out of `org` toward each candidate AS, in candidate
+    /// order, that the candidate's export strategy allows for the
+    /// origination's prefix.
+    fn plan_links(&self, org: OrgId, candidates: &[Asn], id: OriginationId) -> Plan {
+        let prefix = self.oracle.origins().by_id(id).prefix;
+        let mut out = Vec::new();
+        for &n in candidates {
             let links = self.egress_links(org, n);
             if links.is_empty() {
                 continue;
@@ -420,24 +520,48 @@ impl DataPlane {
                 lons[lons.len() / 2]
             };
             let strategy = self.net.as_info(n).export;
-            let spt_root_cache: Vec<(u32, &EgressLink)> = links
-                .iter()
-                .filter(|e| self.strategy_allows(strategy, origination.prefix, e, total, median))
-                .map(|e| {
-                    let t = self.spt.tree(e.near);
-                    (t.dist(cur), e)
-                })
-                .collect();
-            for (d, e) in spt_root_cache {
-                if d == u32::MAX {
-                    continue;
-                }
-                // Hot potato first, then a deterministic flow-stable
-                // shuffle among equal distances.
-                let key = ((d as u64) << 32) | (fnv(&[e.link.0, flow as u32, n.0]) & 0xffff_ffff);
-                if best_choice.as_ref().is_none_or(|(k, _)| key < *k) {
-                    best_choice = Some((key, *e));
-                }
+            out.extend(
+                links
+                    .iter()
+                    .filter(|e| self.strategy_allows(strategy, prefix, e, total, median))
+                    .map(|&link| PlannedLink { link, neighbor: n }),
+            );
+        }
+        Plan::Links(out.into_boxed_slice())
+    }
+
+    /// Pick the hot-potato egress toward `dest` from router `cur`: the
+    /// planned link nearest `cur` by IGP distance, ties broken by a
+    /// flow-stable hash.
+    fn pick_egress(&self, cur: RouterId, dest: &Dest, flow: u16) -> Option<EgressLink> {
+        let key = PlanKey {
+            org: self.router_org(cur),
+            origination: dest.origination?,
+            fallback_to: None,
+        };
+        let mut plan = self.plan(key);
+        if let Plan::Fallback = *plan {
+            let t = dest.home?;
+            plan = self.plan(PlanKey {
+                fallback_to: Some(self.net.routers[t.index()].owner),
+                ..key
+            });
+        }
+        let Plan::Links(links) = &*plan else {
+            return None;
+        };
+        let mut best_choice: Option<(u64, EgressLink)> = None;
+        for pl in links.iter() {
+            let d = self.spt.tree(pl.link.near).dist(cur);
+            if d == u32::MAX {
+                continue;
+            }
+            // Hot potato first, then a deterministic flow-stable
+            // shuffle among equal distances.
+            let key = ((d as u64) << 32)
+                | (fnv(&[pl.link.link.0, flow as u32, pl.neighbor.0]) & 0xffff_ffff);
+            if best_choice.as_ref().is_none_or(|(k, _)| key < *k) {
+                best_choice = Some((key, pl.link));
             }
         }
         best_choice.map(|(_, e)| e)
@@ -445,8 +569,9 @@ impl DataPlane {
 
     // ----------------------------------------------------------- routing
 
-    /// One routing decision: where does `cur` send a packet for `dst`?
-    fn route_step(&self, cur: RouterId, dst: Addr, flow: u16) -> Step {
+    /// One routing decision: where does `cur` send a packet for `dest`?
+    fn route_step(&self, cur: RouterId, dest: &Dest, flow: u16) -> Step {
+        let dst = dest.addr;
         let cur_org = self.router_org(cur);
         // (a) Directly attached subnet?
         for &ifc_id in &self.net.routers[cur.index()].ifaces {
@@ -469,7 +594,7 @@ impl DataPlane {
                     out_iface: ifc_id,
                 };
             }
-            if self.net.router_of_addr(dst) == Some(cur) {
+            if dest.router == Some(cur) {
                 // Shouldn't happen (local delivery is handled earlier),
                 // but be safe.
                 return Step::Unreachable;
@@ -482,7 +607,7 @@ impl DataPlane {
             }
         }
         // (b) Internal target?
-        if let Some(target) = self.target_router(dst) {
+        if let Some(target) = dest.home {
             if self.router_org(target) == cur_org {
                 if target == cur {
                     return Step::Unreachable; // homed here, host absent
@@ -503,7 +628,7 @@ impl DataPlane {
             }
         }
         // (c) Interdomain forwarding.
-        let Some(e) = self.pick_egress(cur, dst, flow) else {
+        let Some(e) = self.pick_egress(cur, dest, flow) else {
             return Step::NoRoute;
         };
         if e.near == cur {
@@ -571,19 +696,22 @@ impl DataPlane {
     }
 
     /// Can `r`'s network route a response back to the prober?
-    fn can_respond_to(&self, r: RouterId, prober: Addr) -> bool {
-        let owner = self.net.routers[r.index()].owner;
-        if let Some(t) = self.target_router(prober) {
+    fn can_respond_to(&self, r: RouterId, prober: &VpFacts) -> bool {
+        if let Some(t) = prober.dest.home {
             if self.router_org(t) == self.router_org(r) {
                 return true;
             }
         }
-        self.oracle.best_route(owner, prober).is_some()
+        let owner = self.net.routers[r.index()].owner;
+        prober
+            .tree
+            .as_ref()
+            .is_some_and(|t| t.route(owner).is_some())
     }
 
     /// Choose the source address of a time-exceeded response per the
     /// router's [`SrcSelect`] behaviour.
-    fn te_source(&self, r: RouterId, inbound: Option<IfaceId>, p: &Probe) -> Option<Addr> {
+    fn te_source(&self, r: RouterId, inbound: Option<IfaceId>, w: &Walk) -> Option<Addr> {
         let fallback = || {
             inbound
                 .map(|i| self.net.ifaces[i.index()].addr)
@@ -591,11 +719,11 @@ impl DataPlane {
         };
         match self.net.routers[r.index()].src_select {
             SrcSelect::Inbound => fallback(),
-            SrcSelect::TowardProber => match self.route_step(r, p.src, p.flow) {
+            SrcSelect::TowardProber => match self.route_step(r, &w.vp.dest, w.p.flow) {
                 Step::Forward { out_iface, .. } => Some(self.net.ifaces[out_iface.index()].addr),
                 _ => fallback(),
             },
-            SrcSelect::TowardDest => match self.route_step(r, p.dst, p.flow) {
+            SrcSelect::TowardDest => match self.route_step(r, &w.dest, w.p.flow) {
                 Step::Forward { out_iface, .. } => Some(self.net.ifaces[out_iface.index()].addr),
                 _ => fallback(),
             },
@@ -609,9 +737,10 @@ impl DataPlane {
         rt: &Runtime,
         r: RouterId,
         inbound: Option<IfaceId>,
-        p: &Probe,
+        w: &Walk,
         fwd_us: u32,
     ) -> Option<Response> {
+        let p = w.p;
         let policy = self.net.routers[r.index()].policy;
         match policy {
             ResponsePolicy::Silent | ResponsePolicy::EchoOtherIcmp => return None,
@@ -622,10 +751,10 @@ impl DataPlane {
             }
             ResponsePolicy::Normal | ResponsePolicy::Firewall => {}
         }
-        if !self.can_respond_to(r, p.src) {
+        if !self.can_respond_to(r, w.vp) {
             return None;
         }
-        let src = self.te_source(r, inbound, p)?;
+        let src = self.te_source(r, inbound, w)?;
         let ipid = rt.ipid(&self.net, r, src, p.time_ms);
         Some(Response {
             src,
@@ -637,13 +766,14 @@ impl DataPlane {
 
     /// Build the response for a probe delivered to one of `r`'s own
     /// addresses.
-    fn delivered(&self, rt: &Runtime, r: RouterId, p: &Probe, fwd_us: u32) -> Option<Response> {
+    fn delivered(&self, rt: &Runtime, r: RouterId, w: &Walk, fwd_us: u32) -> Option<Response> {
+        let p = w.p;
         let rtt_us = 2 * fwd_us + PER_HOP_US;
         let router = &self.net.routers[r.index()];
         if router.policy == ResponsePolicy::Silent {
             return None;
         }
-        if !self.can_respond_to(r, p.src) {
+        if !self.can_respond_to(r, w.vp) {
             return None;
         }
         match p.kind {
@@ -699,17 +829,18 @@ impl DataPlane {
         rt: &Runtime,
         r: RouterId,
         inbound: Option<IfaceId>,
-        p: &Probe,
+        w: &Walk,
         fwd_us: u32,
     ) -> Option<Response> {
+        let p = w.p;
         let policy = self.net.routers[r.index()].policy;
         if !policy.sends_ttl_expired() {
             return None;
         }
-        if !self.can_respond_to(r, p.src) {
+        if !self.can_respond_to(r, w.vp) {
             return None;
         }
-        let src = self.te_source(r, inbound, p)?;
+        let src = self.te_source(r, inbound, w)?;
         let ipid = rt.ipid(&self.net, r, src, p.time_ms);
         let reason = match p.kind {
             ProbeKind::Udp => UnreachReason::Port,
@@ -725,10 +856,11 @@ impl DataPlane {
 
     /// Response when a firewalling edge router discards a transiting
     /// probe.
-    fn firewalled(&self, rt: &Runtime, r: RouterId, p: &Probe, fwd_us: u32) -> Option<Response> {
+    fn firewalled(&self, rt: &Runtime, r: RouterId, w: &Walk, fwd_us: u32) -> Option<Response> {
+        let p = w.p;
         match self.net.routers[r.index()].policy {
             ResponsePolicy::EchoOtherIcmp => {
-                if !self.can_respond_to(r, p.src) {
+                if !self.can_respond_to(r, w.vp) {
                     return None;
                 }
                 // Responds from its own (announced) address space — the
@@ -780,7 +912,13 @@ impl DataPlane {
 
     /// Forward a probe hop by hop and build the response at its end.
     fn probe_inner(&self, rt: &Runtime, p: &Probe, faults: Option<&FaultPlan>) -> Option<Response> {
-        let mut cur = *self.vp_by_addr.get(&p.src)?;
+        let vp = self.vps.get(&p.src)?;
+        let w = Walk {
+            p,
+            vp,
+            dest: self.dest(p.dst),
+        };
+        let mut cur = vp.attach;
         let mut inbound: Option<IfaceId> = None;
         let mut ttl = p.ttl;
         let mut fwd_us: u32 = 0;
@@ -793,8 +931,8 @@ impl DataPlane {
         };
         for _ in 0..MAX_HOPS {
             // Local delivery beats everything.
-            if self.net.router_of_addr(p.dst) == Some(cur) {
-                return self.delivered(rt, cur, p, fwd_us);
+            if w.dest.router == Some(cur) {
+                return self.delivered(rt, cur, &w, fwd_us);
             }
             // TTL check-and-decrement on arrival.
             ttl = ttl.saturating_sub(1);
@@ -804,7 +942,7 @@ impl DataPlane {
                 if faults.is_some_and(|f| f.storm_suppresses(cur, p.time_ms)) {
                     return None;
                 }
-                return self.ttl_expired(rt, cur, inbound, p, fwd_us);
+                return self.ttl_expired(rt, cur, inbound, &w, fwd_us);
             }
             // Edge firewalls discard transit traffic.
             let policy = self.net.routers[cur.index()].policy;
@@ -814,9 +952,9 @@ impl DataPlane {
                 if faults.is_some_and(|f| f.storm_suppresses(cur, p.time_ms)) {
                     return None;
                 }
-                return self.firewalled(rt, cur, p, fwd_us);
+                return self.firewalled(rt, cur, &w, fwd_us);
             }
-            match self.route_step(cur, p.dst, flow) {
+            match self.route_step(cur, &w.dest, flow) {
                 Step::Forward {
                     next,
                     in_iface,
@@ -842,7 +980,7 @@ impl DataPlane {
                     if faults.is_some_and(|f| f.storm_suppresses(cur, p.time_ms)) {
                         return None;
                     }
-                    return self.unreachable(rt, cur, inbound, p, fwd_us);
+                    return self.unreachable(rt, cur, inbound, &w, fwd_us);
                 }
                 Step::NoRoute => return None,
             }
@@ -853,6 +991,70 @@ impl DataPlane {
 
     /// The attach router of a VP address (for tests and evaluation).
     pub fn vp_attach(&self, vp_addr: Addr) -> Option<RouterId> {
-        self.vp_by_addr.get(&vp_addr).copied()
+        self.vps.get(&vp_addr).map(|v| v.attach)
     }
+
+    /// The planned egress from `cur` toward `dst` on `flow`, as (near
+    /// router, near iface, far router, far iface, link).
+    #[cfg(test)]
+    pub(crate) fn egress_for(
+        &self,
+        cur: RouterId,
+        dst: Addr,
+        flow: u16,
+    ) -> Option<(RouterId, IfaceId, RouterId, IfaceId, LinkId)> {
+        self.pick_egress(cur, &self.dest(dst), flow)
+            .map(|e| (e.near, e.near_iface, e.far, e.far_iface, e.link))
+    }
+
+    /// What the plans built so far cover.
+    #[cfg(test)]
+    pub(crate) fn plan_census(&self) -> PlanCensus {
+        let mut c = PlanCensus::default();
+        for (key, plan) in self.plans.read().iter() {
+            if self.org_members[&key.org].len() > 1 {
+                c.sibling_org += 1;
+            }
+            if key.fallback_to.is_some() {
+                c.fallback += 1;
+            }
+            let Plan::Links(links) = &**plan else {
+                continue;
+            };
+            for pl in links.iter() {
+                if matches!(
+                    self.net.links[pl.link.link.index()].kind,
+                    LinkKind::IxpLan { .. }
+                ) {
+                    c.ixp_lan += 1;
+                }
+                // A strategy decides something only among parallel links.
+                if self.egress_links(key.org, pl.neighbor).len() > 1 {
+                    match self.net.as_info(pl.neighbor).export {
+                        ExportStrategy::Everywhere => c.everywhere += 1,
+                        ExportStrategy::Subset { .. } => c.subset += 1,
+                        ExportStrategy::Anchored => c.anchored += 1,
+                        ExportStrategy::Regional => c.regional += 1,
+                    }
+                }
+            }
+        }
+        c
+    }
+}
+
+/// Counts over the egress plans a data plane has built: planned links
+/// chosen among parallel links by each export strategy, planned links
+/// across an IXP LAN, plans of multi-AS organisations, and fallback
+/// plans.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct PlanCensus {
+    pub everywhere: usize,
+    pub subset: usize,
+    pub anchored: usize,
+    pub regional: usize,
+    pub ixp_lan: usize,
+    pub sibling_org: usize,
+    pub fallback: usize,
 }

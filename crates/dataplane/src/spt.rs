@@ -4,75 +4,132 @@
 //! domain over the internal links. Forwarding toward an internal target —
 //! a destination home router or a hot-potato egress border router — walks
 //! the shortest-path tree rooted at that target. Trees are computed on
-//! demand and cached; equal-cost next hops are kept so the data plane can
-//! hash flows across them (ECMP).
+//! demand into one slot per root router and kept for the cache's life;
+//! each covers only its root's domain, so its size is the domain's, not
+//! the world's. Equal-cost next hops are kept so the data plane can hash
+//! flows across them (ECMP).
 
 use bdrmap_topo::{Internet, LinkKind};
 use bdrmap_types::RouterId;
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
-/// Per-router internal adjacency: `(neighbor router, metric)`.
+/// The internal links of every IGP domain.
 pub struct InternalGraph {
-    adj: Vec<Vec<(RouterId, u32)>>,
-    /// Organisation of each router's owner, for same-domain checks.
-    org: Vec<u32>,
+    /// Dense domain index of each router (one per organisation).
+    domain: Vec<u32>,
+    /// Each router's index within its domain; a domain's routers are
+    /// numbered in router-id order.
+    local: Vec<u32>,
+    /// Each domain's routers, in router-id order.
+    members: Vec<Vec<RouterId>>,
+    /// Same-domain adjacency, CSR by router: `adj[adj_start[r]..adj_start[r + 1]]`
+    /// holds `(neighbor's local index, metric)` in link order.
+    adj_start: Vec<u32>,
+    adj: Vec<(u32, u32)>,
 }
 
 impl InternalGraph {
     /// Build the internal adjacency from the ground truth.
     pub fn build(net: &Internet) -> InternalGraph {
         let n = net.routers.len();
-        let mut adj = vec![Vec::new(); n];
+        let mut by_org: HashMap<u32, u32> = HashMap::new();
+        let mut domain = Vec::with_capacity(n);
+        let mut local = Vec::with_capacity(n);
+        let mut members: Vec<Vec<RouterId>> = Vec::new();
+        for r in &net.routers {
+            let org = net.graph.org(r.owner).0;
+            let d = *by_org.entry(org).or_insert_with(|| {
+                members.push(Vec::new());
+                members.len() as u32 - 1
+            });
+            domain.push(d);
+            local.push(members[d as usize].len() as u32);
+            members[d as usize].push(r.id);
+        }
+        let mut lists = vec![Vec::new(); n];
         for l in &net.links {
             if l.kind != LinkKind::Internal {
                 continue;
             }
-            let r0 = net.ifaces[l.ifaces[0].index()].router;
-            let r1 = net.ifaces[l.ifaces[1].index()].router;
-            adj[r0.index()].push((r1, l.metric));
-            adj[r1.index()].push((r0, l.metric));
+            let r0 = net.ifaces[l.ifaces[0].index()].router.index();
+            let r1 = net.ifaces[l.ifaces[1].index()].router.index();
+            if domain[r0] != domain[r1] {
+                continue;
+            }
+            lists[r0].push((local[r1], l.metric));
+            lists[r1].push((local[r0], l.metric));
         }
-        let org = net
-            .routers
-            .iter()
-            .map(|r| net.graph.org(r.owner).0)
-            .collect();
-        InternalGraph { adj, org }
+        let mut adj_start = Vec::with_capacity(n + 1);
+        adj_start.push(0);
+        for l in &lists {
+            adj_start.push(adj_start.last().unwrap() + l.len() as u32);
+        }
+        InternalGraph {
+            domain,
+            local,
+            members,
+            adj_start,
+            adj: lists.concat(),
+        }
     }
 
     /// True if two routers are in the same IGP domain.
     pub fn same_domain(&self, a: RouterId, b: RouterId) -> bool {
-        self.org[a.index()] == self.org[b.index()]
+        self.domain[a.index()] == self.domain[b.index()]
+    }
+
+    fn neighbors(&self, r: RouterId) -> &[(u32, u32)] {
+        &self.adj[self.adj_start[r.index()] as usize..self.adj_start[r.index() + 1] as usize]
     }
 }
 
-/// A shortest-path tree rooted at a target router, restricted to the
-/// target's IGP domain.
-pub struct Spt {
-    /// Distance from each router to the root (`u32::MAX` = unreachable or
-    /// foreign domain).
-    dist: Vec<u32>,
-    /// Equal-cost next hops toward the root (empty at the root itself).
-    next: Vec<Vec<RouterId>>,
+/// A shortest-path tree rooted at a target router, over the target's
+/// IGP domain only: its arrays are indexed by domain-local index.
+struct Spt {
+    /// The root's domain.
+    domain: u32,
+    /// Distance from each domain router to the root (`u32::MAX` =
+    /// unreachable).
+    dist: Box<[u32]>,
+    /// Equal-cost next hops toward the root, CSR by local index
+    /// (none at the root itself).
+    next_start: Box<[u32]>,
+    next: Box<[RouterId]>,
 }
 
-impl Spt {
-    /// Distance from `r` to the root.
+/// A tree together with the graph that locates routers in it.
+#[derive(Clone, Copy)]
+pub struct SptRef<'a> {
+    graph: &'a InternalGraph,
+    spt: &'a Spt,
+}
+
+impl SptRef<'_> {
+    /// `r`'s index in the tree, or `None` for a router of another domain.
+    fn slot(&self, r: RouterId) -> Option<usize> {
+        (self.graph.domain[r.index()] == self.spt.domain)
+            .then(|| self.graph.local[r.index()] as usize)
+    }
+
+    /// Distance from `r` to the root (`u32::MAX` = unreachable or
+    /// foreign domain).
     pub fn dist(&self, r: RouterId) -> u32 {
-        self.dist[r.index()]
+        self.slot(r).map_or(u32::MAX, |i| self.spt.dist[i])
     }
 
     /// True if `r` can reach the root internally.
     pub fn reaches(&self, r: RouterId) -> bool {
-        self.dist[r.index()] != u32::MAX
+        self.dist(r) != u32::MAX
     }
 
     /// The next hop from `r` toward the root, choosing among equal-cost
     /// options by flow hash (Paris-stable).
     pub fn next_hop(&self, r: RouterId, flow: u16) -> Option<RouterId> {
-        let opts = &self.next[r.index()];
+        let i = self.slot(r)?;
+        let opts =
+            &self.spt.next[self.spt.next_start[i] as usize..self.spt.next_start[i + 1] as usize];
         if opts.is_empty() {
             return None;
         }
@@ -81,10 +138,10 @@ impl Spt {
     }
 }
 
-/// Cache of SPTs keyed by root router.
+/// SPTs by root router, each computed on first use.
 pub struct SptCache {
     graph: InternalGraph,
-    cache: RwLock<HashMap<RouterId, Arc<Spt>>>,
+    trees: Box<[OnceLock<Spt>]>,
 }
 
 /// Keep at most this many equal-cost next hops per router.
@@ -94,8 +151,8 @@ impl SptCache {
     /// Create a cache over the internal graph.
     pub fn new(graph: InternalGraph) -> SptCache {
         SptCache {
+            trees: (0..graph.domain.len()).map(|_| OnceLock::new()).collect(),
             graph,
-            cache: RwLock::new(HashMap::new()),
         }
     }
 
@@ -105,50 +162,64 @@ impl SptCache {
     }
 
     /// The SPT rooted at `root`.
-    pub fn tree(&self, root: RouterId) -> Arc<Spt> {
-        if let Some(t) = self.cache.read().get(&root) {
-            return Arc::clone(t);
+    pub fn tree(&self, root: RouterId) -> SptRef<'_> {
+        SptRef {
+            graph: &self.graph,
+            spt: self.trees[root.index()].get_or_init(|| self.compute(root)),
         }
-        let t = Arc::new(self.compute(root));
-        self.cache.write().insert(root, Arc::clone(&t));
-        t
     }
 
+    /// Dijkstra over the root's domain. Local indices follow router ids,
+    /// so heap order, and with it which equal-cost next hops are kept
+    /// when there are more than [`MAX_ECMP`], is that of a search over
+    /// global ids.
     fn compute(&self, root: RouterId) -> Spt {
-        let n = self.graph.adj.len();
+        let g = &self.graph;
+        let domain = g.domain[root.index()];
+        let members = &g.members[domain as usize];
+        let n = members.len();
         let mut dist = vec![u32::MAX; n];
-        let mut next: Vec<Vec<RouterId>> = vec![Vec::new(); n];
-        let domain = self.graph.org[root.index()];
-        let mut heap = std::collections::BinaryHeap::new();
-        dist[root.index()] = 0;
-        heap.push(std::cmp::Reverse((0u32, root)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d > dist[u.index()] {
+        let mut next = vec![[0u32; MAX_ECMP]; n];
+        let mut count = vec![0u8; n];
+        let mut heap = BinaryHeap::new();
+        let root_local = g.local[root.index()];
+        dist[root_local as usize] = 0;
+        heap.push(Reverse((0u32, root_local)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
                 continue;
             }
-            for &(v, w) in &self.graph.adj[u.index()] {
-                if self.graph.org[v.index()] != domain {
-                    continue;
-                }
+            for &(v, w) in g.neighbors(members[u as usize]) {
+                let vi = v as usize;
                 let nd = d.saturating_add(w);
-                if nd < dist[v.index()] {
-                    dist[v.index()] = nd;
-                    next[v.index()].clear();
-                    next[v.index()].push(u);
-                    heap.push(std::cmp::Reverse((nd, v)));
-                } else if nd == dist[v.index()]
-                    && !next[v.index()].contains(&u)
-                    && next[v.index()].len() < MAX_ECMP
-                {
-                    next[v.index()].push(u);
+                let c = count[vi] as usize;
+                if nd < dist[vi] {
+                    dist[vi] = nd;
+                    next[vi][0] = u;
+                    count[vi] = 1;
+                    heap.push(Reverse((nd, v)));
+                } else if nd == dist[vi] && c < MAX_ECMP && !next[vi][..c].contains(&u) {
+                    next[vi][c] = u;
+                    count[vi] += 1;
                 }
             }
         }
         // Deterministic ECMP order.
-        for opts in &mut next {
-            opts.sort_unstable();
+        let mut next_start = Vec::with_capacity(n + 1);
+        let mut flat = Vec::new();
+        next_start.push(0);
+        for (hops, &c) in next.iter_mut().zip(&count) {
+            let hops = &mut hops[..c as usize];
+            hops.sort_unstable();
+            flat.extend(hops.iter().map(|&l| members[l as usize]));
+            next_start.push(flat.len() as u32);
         }
-        Spt { dist, next }
+        Spt {
+            domain,
+            dist: dist.into_boxed_slice(),
+            next_start: next_start.into_boxed_slice(),
+            next: flat.into_boxed_slice(),
+        }
     }
 }
 

@@ -1,10 +1,15 @@
 //! Integration-style tests driving the data plane over generated
-//! Internets, checking the traceroute idiosyncrasies the paper relies on.
+//! Internets, checking the traceroute idiosyncrasies the paper relies on,
+//! pinning its answers across changes, and checking its table-driven
+//! decisions against the per-call derivations they replaced.
 
 use crate::packet::{Probe, ProbeKind, RespKind};
 use crate::plane::DataPlane;
-use bdrmap_topo::{generate, AsKind, ResponsePolicy, TopoConfig};
-use bdrmap_types::Addr;
+use bdrmap_topo::{
+    generate, AsKind, ExportStrategy, Internet, LinkKind, ResponsePolicy, TopoConfig,
+};
+use bdrmap_types::{Addr, Asn, IfaceId, LinkId, OrgId, RouterId};
+use std::collections::HashMap;
 
 fn plane(seed: u64) -> DataPlane {
     DataPlane::new(generate(&TopoConfig::tiny(seed)))
@@ -874,4 +879,495 @@ fn rtt_grows_with_hop_distance_and_congestion() {
     assert!(busy > quiet + 20_000, "busy {busy} vs quiet {quiet}");
     assert!(idle < quiet + 5_000, "idle {idle} vs quiet {quiet}");
     dp.clear_congestion();
+}
+
+// ------------------------------------------------------ pinned digests
+
+/// The reduced large-access world of the digest tests: CDNs with every
+/// [`bdrmap_topo::ExportStrategy`], a sibling of the VP network, IXP
+/// LANs, and two VPs.
+fn reduced_large_access() -> TopoConfig {
+    let mut cfg = TopoConfig::large_access_scaled(17, 0.02);
+    cfg.num_vps = 2;
+    cfg
+}
+
+/// The probe set's destinations: every router interface, every fifth
+/// `dest_home` block, and addresses no origination covers.
+fn digest_destinations(net: &Internet) -> Vec<Addr> {
+    let mut dsts: Vec<Addr> = net.ifaces.iter().map(|i| i.addr).collect();
+    for (i, (p, _)) in net.dest_home.iter().enumerate() {
+        if i % 5 == 0 {
+            dsts.push(p.nth(p.size().min(6) - 1));
+        }
+    }
+    let mut dark: Vec<Addr> = net
+        .graph
+        .ases()
+        .flat_map(|a| net.as_info(a).unannounced.clone())
+        .map(|p| p.nth(p.size() - 2))
+        .collect();
+    dark.extend(["0.0.0.1", "198.18.0.1", "223.255.255.254"].map(|s| s.parse::<Addr>().unwrap()));
+    dsts.extend(
+        dark.into_iter()
+            .filter(|&a| net.origins.lookup(a).is_none()),
+    );
+    dsts
+}
+
+/// CRC32C over every outcome of the fixed probe set, sent through
+/// `probe_with` on one fresh [`Runtime`](crate::Runtime): from every VP
+/// to every destination, on two flows, as each probe kind, at TTL
+/// 1..=16, each probe 37 ms after the last. Returns the digest, the
+/// probes sent and the probes answered.
+fn probe_set_digest(dp: &DataPlane) -> (u32, u64, u64) {
+    use crate::packet::UnreachReason;
+    let net = dp.internet();
+    let dsts = digest_destinations(net);
+    let rt = crate::Runtime::new();
+    let mut crc = bdrmap_types::integrity::Crc32c::new();
+    let (mut sent, mut answered) = (0u64, 0u64);
+    for vp in &net.vps {
+        for &dst in &dsts {
+            for flow in [7u16, 0xbeef] {
+                for kind in [ProbeKind::IcmpEcho, ProbeKind::Udp, ProbeKind::TcpAck] {
+                    for ttl in 1..=16u8 {
+                        let p = Probe {
+                            src: vp.addr,
+                            dst,
+                            ttl,
+                            flow,
+                            kind,
+                            time_ms: sent * 37,
+                        };
+                        sent += 1;
+                        let Some(r) = dp.probe_with(&p, &rt) else {
+                            crc.update(&[0]);
+                            continue;
+                        };
+                        answered += 1;
+                        let code = match r.kind {
+                            RespKind::TimeExceeded => 1u8,
+                            RespKind::EchoReply => 2,
+                            RespKind::DestUnreach(UnreachReason::Host) => 3,
+                            RespKind::DestUnreach(UnreachReason::AdminFiltered) => 4,
+                            RespKind::DestUnreach(UnreachReason::Port) => 5,
+                            RespKind::TcpRst => 6,
+                        };
+                        crc.update(&[code]);
+                        crc.update(&u32::from(r.src).to_le_bytes());
+                        crc.update(&r.ipid.to_le_bytes());
+                        crc.update(&r.rtt_us.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    (crc.finalize(), sent, answered)
+}
+
+/// The fault plan of the digest tests: loss both ways, storms, flaps
+/// and reroute epochs, all several times over within the probe set.
+fn digest_faults() -> crate::FaultPlan {
+    crate::FaultPlan {
+        seed: 11,
+        probe_loss: 0.05,
+        response_loss: 0.05,
+        bucket_ms: 250,
+        storm: Some(crate::StormPlan {
+            router_frac: 0.2,
+            period_ms: 10_000,
+            burst_ms: 2_000,
+        }),
+        flap: Some(crate::FlapPlan {
+            link_frac: 0.1,
+            period_ms: 20_000,
+            down_ms: 3_000,
+        }),
+        reroute: Some(crate::ReroutePlan { period_ms: 50_000 }),
+    }
+}
+
+/// Digests of one world, unfaulted and then faulted, each on a fresh
+/// data plane, with the census of the plans the unfaulted pass built.
+fn world_digests(cfg: &TopoConfig) -> ([(u32, u64, u64); 2], crate::plane::PlanCensus) {
+    let clean = DataPlane::new(generate(cfg));
+    let faulted = DataPlane::new(generate(cfg));
+    faulted.set_faults(digest_faults());
+    let got = [probe_set_digest(&clean), probe_set_digest(&faulted)];
+    (got, clean.plan_census())
+}
+
+// The pinned (digest, sent, answered) triples below were taken from the
+// simulator before its egress plans, per-probe facts and per-domain
+// trees; a change that moves any of them changes what bdrmap observes.
+
+#[test]
+fn tiny_world_answers_match_pinned_digests() {
+    let (got, census) = world_digests(&TopoConfig::tiny(5));
+    // Every export strategy, IXP LANs and the fallback branch; the tiny
+    // VP network has no sibling AS.
+    assert!(
+        census.everywhere > 0 && census.subset > 0 && census.anchored > 0 && census.regional > 0,
+        "{census:?}"
+    );
+    assert!(census.ixp_lan > 0 && census.fallback > 0, "{census:?}");
+    assert_eq!(
+        got,
+        [
+            (0xd7bd_fde5, 133_248, 122_722),
+            (0x38d4_bd5a, 133_248, 85_622)
+        ],
+        "unfaulted, faulted"
+    );
+}
+
+#[test]
+fn reduced_large_access_answers_match_pinned_digests() {
+    let (got, census) = world_digests(&reduced_large_access());
+    // Every export strategy, IXP LANs, the fallback branch, and a VP
+    // network with a sibling AS.
+    assert!(
+        census.everywhere > 0 && census.subset > 0 && census.anchored > 0 && census.regional > 0,
+        "{census:?}"
+    );
+    assert!(
+        census.ixp_lan > 0 && census.fallback > 0 && census.sibling_org > 0,
+        "{census:?}"
+    );
+    assert_eq!(
+        got,
+        [
+            (0xb378_8952, 307_200, 289_089),
+            (0xb1cd_d66e, 307_200, 186_385)
+        ],
+        "unfaulted, faulted"
+    );
+}
+
+// ----------------------------------------- decisions against the old code
+//
+// The two decisions the simulator now answers from tables — the egress
+// pick and the per-domain shortest-path trees — checked over a whole
+// world against copies of the code that re-derived them on every call.
+
+/// The shortest-path tree the SPT cache computed before it kept trees
+/// per domain: a Dijkstra over the whole world, skipping routers of
+/// other domains. Returns each router's distance and sorted next hops.
+fn whole_world_spt(net: &Internet, root: RouterId) -> (Vec<u32>, Vec<Vec<RouterId>>) {
+    let n = net.routers.len();
+    let mut adj = vec![Vec::new(); n];
+    for l in &net.links {
+        if l.kind != LinkKind::Internal {
+            continue;
+        }
+        let r0 = net.ifaces[l.ifaces[0].index()].router;
+        let r1 = net.ifaces[l.ifaces[1].index()].router;
+        adj[r0.index()].push((r1, l.metric));
+        adj[r1.index()].push((r0, l.metric));
+    }
+    let org: Vec<u32> = net
+        .routers
+        .iter()
+        .map(|r| net.graph.org(r.owner).0)
+        .collect();
+    let mut dist = vec![u32::MAX; n];
+    let mut next: Vec<Vec<RouterId>> = vec![Vec::new(); n];
+    let domain = org[root.index()];
+    let mut heap = std::collections::BinaryHeap::new();
+    dist[root.index()] = 0;
+    heap.push(std::cmp::Reverse((0u32, root)));
+    while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+        if d > dist[u.index()] {
+            continue;
+        }
+        for &(v, w) in &adj[u.index()] {
+            if org[v.index()] != domain {
+                continue;
+            }
+            let nd = d.saturating_add(w);
+            if nd < dist[v.index()] {
+                dist[v.index()] = nd;
+                next[v.index()].clear();
+                next[v.index()].push(u);
+                heap.push(std::cmp::Reverse((nd, v)));
+            } else if nd == dist[v.index()]
+                && !next[v.index()].contains(&u)
+                && next[v.index()].len() < 4
+            {
+                next[v.index()].push(u);
+            }
+        }
+    }
+    for opts in &mut next {
+        opts.sort_unstable();
+    }
+    (dist, next)
+}
+
+#[test]
+fn per_domain_spts_equal_whole_world_dijkstra() {
+    // The tiny world alone does not exercise the order of equal-cost
+    // next hops (a copy that skips their sort passes on it); the reduced
+    // large-access world does.
+    let (mut foreign, mut ecmp) = (0, 0);
+    for cfg in [TopoConfig::tiny(5), reduced_large_access()] {
+        let net = generate(&cfg);
+        let cache = crate::spt::SptCache::new(crate::spt::InternalGraph::build(&net));
+        for root in net.routers.iter().map(|r| r.id) {
+            let (dist, next) = whole_world_spt(&net, root);
+            let t = cache.tree(root);
+            for r in net.routers.iter().map(|r| r.id) {
+                assert_eq!(t.dist(r), dist[r.index()], "dist {r:?} toward {root:?}");
+                assert_eq!(t.reaches(r), dist[r.index()] != u32::MAX);
+                let opts = &next[r.index()];
+                ecmp += usize::from(opts.len() > 1);
+                for flow in [0u16, 1, 7, 0xffff] {
+                    let old = (!opts.is_empty()).then(|| {
+                        opts[(crate::spt::fnv(&[r.0, flow as u32]) % opts.len() as u64) as usize]
+                    });
+                    assert_eq!(t.next_hop(r, flow), old, "next hop {r:?} toward {root:?}");
+                }
+                let (a, b) = (
+                    net.routers[r.index()].owner,
+                    net.routers[root.index()].owner,
+                );
+                if !net.graph.same_org(a, b) {
+                    assert_eq!((t.dist(r), t.next_hop(r, 0)), (u32::MAX, None));
+                    foreign += 1;
+                }
+            }
+        }
+    }
+    assert!(foreign > 0 && ecmp > 0, "{foreign} foreign, {ecmp} ECMP");
+}
+
+/// One way out, as the old egress code described it.
+#[derive(Clone, Copy)]
+struct OldLink {
+    near: RouterId,
+    near_iface: IfaceId,
+    far: RouterId,
+    far_iface: IfaceId,
+    ordinal: u32,
+    longitude_milli: i32,
+    link: LinkId,
+}
+
+type Choice = (RouterId, IfaceId, RouterId, IfaceId, LinkId);
+
+/// The egress choice as the data plane made it before egress plans,
+/// copied for comparison: every input is re-derived on every call.
+struct OldEgress<'a> {
+    dp: &'a DataPlane,
+    org_members: HashMap<OrgId, Vec<Asn>>,
+    spts: HashMap<RouterId, Vec<u32>>,
+}
+
+impl OldEgress<'_> {
+    fn org(&self, a: Asn) -> OrgId {
+        self.dp.internet().graph.org(a)
+    }
+
+    fn dist(&mut self, root: RouterId, cur: RouterId) -> u32 {
+        let net = self.dp.internet();
+        self.spts
+            .entry(root)
+            .or_insert_with(|| whole_world_spt(net, root).0)[cur.index()]
+    }
+
+    fn egress_links(&self, org: OrgId, n: Asn) -> Vec<OldLink> {
+        let net = self.dp.internet();
+        let lon =
+            |r: RouterId| (net.pops[net.routers[r.index()].pop.index()].longitude * 1000.0) as i32;
+        let mut out = Vec::new();
+        for l in &net.links {
+            match l.kind {
+                LinkKind::Interdomain { .. } => {
+                    let i0 = &net.ifaces[l.ifaces[0].index()];
+                    let i1 = &net.ifaces[l.ifaces[1].index()];
+                    let o0 = net.routers[i0.router.index()].owner;
+                    let o1 = net.routers[i1.router.index()].owner;
+                    let (near, far) = if self.org(o0) == org && o1 == n {
+                        (i0, i1)
+                    } else if self.org(o1) == org && o0 == n {
+                        (i1, i0)
+                    } else {
+                        continue;
+                    };
+                    out.push(OldLink {
+                        near: near.router,
+                        near_iface: near.id,
+                        far: far.router,
+                        far_iface: far.id,
+                        ordinal: 0,
+                        longitude_milli: lon(near.router),
+                        link: l.id,
+                    });
+                }
+                LinkKind::IxpLan { .. } => {
+                    let ifaces = || l.ifaces.iter().map(|i| &net.ifaces[i.index()]);
+                    let ours: Vec<_> = ifaces()
+                        .filter(|i| self.org(net.routers[i.router.index()].owner) == org)
+                        .collect();
+                    let theirs: Vec<_> = ifaces()
+                        .filter(|i| net.routers[i.router.index()].owner == n)
+                        .collect();
+                    for o in &ours {
+                        for t in &theirs {
+                            out.push(OldLink {
+                                near: o.router,
+                                near_iface: o.id,
+                                far: t.router,
+                                far_iface: t.id,
+                                ordinal: 0,
+                                longitude_milli: lon(o.router),
+                                link: l.id,
+                            });
+                        }
+                    }
+                }
+                LinkKind::Internal => {}
+            }
+        }
+        out.sort_by_key(|e| (e.link, e.near_iface));
+        for (i, e) in out.iter_mut().enumerate() {
+            e.ordinal = i as u32;
+        }
+        out
+    }
+
+    fn strategy_allows(
+        strategy: ExportStrategy,
+        prefix: bdrmap_types::Prefix,
+        e: &OldLink,
+        total: u32,
+        median_longitude: i32,
+    ) -> bool {
+        use crate::spt::fnv;
+        if total <= 1 {
+            return true;
+        }
+        let pbits = u32::from(prefix.network());
+        match strategy {
+            ExportStrategy::Everywhere => true,
+            ExportStrategy::Subset { percent } => {
+                let anchor = fnv(&[pbits, prefix.len() as u32]) % total as u64;
+                e.ordinal as u64 == anchor
+                    || fnv(&[pbits, prefix.len() as u32, e.ordinal]) % 100 < percent as u64
+            }
+            ExportStrategy::Anchored => (pbits >> 8) % total == e.ordinal,
+            ExportStrategy::Regional => {
+                let west = fnv(&[pbits, prefix.len() as u32]).is_multiple_of(2);
+                if west {
+                    e.longitude_milli <= median_longitude
+                } else {
+                    e.longitude_milli > median_longitude
+                }
+            }
+        }
+    }
+
+    fn pick(&mut self, cur: RouterId, dst: Addr, flow: u16) -> Option<Choice> {
+        let net = self.dp.internet();
+        let oracle = self.dp.oracle();
+        let owner = net.routers[cur.index()].owner;
+        let org = self.org(owner);
+        let origination = oracle.origins().lookup(dst)?;
+        let tree = oracle.route_tree(origination);
+        let mut candidates: Vec<Asn> = Vec::new();
+        let mut best: Option<bdrmap_bgp::BestRoute> = None;
+        for &m in &self.org_members[&org] {
+            let Some(r) = tree.route(m) else { continue };
+            if best.is_none() {
+                best = Some(r);
+            }
+            if r.class == bdrmap_bgp::RouteClass::Origin {
+                continue;
+            }
+            for n in oracle.tied_next_hops(m, origination) {
+                if self.org(n) != org && !candidates.contains(&n) {
+                    candidates.push(n);
+                }
+            }
+        }
+        let best = best?;
+        if best.class == bdrmap_bgp::RouteClass::Origin && candidates.is_empty() {
+            let t = net
+                .router_of_addr(dst)
+                .or_else(|| net.dest_home.lookup(dst).map(|(_, &r)| r))?;
+            candidates = vec![net.routers[t.index()].owner];
+        }
+        if candidates.is_empty() {
+            if let Some(nh) = best.next_hop {
+                if self.org(nh) != org {
+                    candidates.push(nh);
+                }
+            }
+        }
+        let mut best_choice: Option<(u64, OldLink)> = None;
+        for n in candidates {
+            let links = self.egress_links(org, n);
+            if links.is_empty() {
+                continue;
+            }
+            let total = links.len() as u32;
+            let median = {
+                let mut lons: Vec<i32> = links.iter().map(|e| e.longitude_milli).collect();
+                lons.sort_unstable();
+                lons[lons.len() / 2]
+            };
+            let strategy = net.as_info(n).export;
+            for e in links
+                .iter()
+                .filter(|e| Self::strategy_allows(strategy, origination.prefix, e, total, median))
+            {
+                let d = self.dist(e.near, cur);
+                if d == u32::MAX {
+                    continue;
+                }
+                let key = ((d as u64) << 32)
+                    | (crate::spt::fnv(&[e.link.0, flow as u32, n.0]) & 0xffff_ffff);
+                if best_choice.as_ref().is_none_or(|(k, _)| key < *k) {
+                    best_choice = Some((key, *e));
+                }
+            }
+        }
+        best_choice.map(|(_, e)| (e.near, e.near_iface, e.far, e.far_iface, e.link))
+    }
+}
+
+#[test]
+fn planned_egress_equals_the_old_per_pick_derivation() {
+    let dp = plane(5);
+    let net = dp.internet();
+    let mut org_members: HashMap<OrgId, Vec<Asn>> = HashMap::new();
+    for a in net.graph.ases() {
+        org_members.entry(net.graph.org(a)).or_default().push(a);
+    }
+    let mut old = OldEgress {
+        dp: &dp,
+        org_members,
+        spts: HashMap::new(),
+    };
+    let (mut picks, mut some) = (0, 0);
+    for cur in net.routers.iter().map(|r| r.id) {
+        for o in net.origins.iter() {
+            let dst = o.prefix.nth(1);
+            for flow in [0u16, 1, 0xffff] {
+                let want = old.pick(cur, dst, flow);
+                assert_eq!(
+                    dp.egress_for(cur, dst, flow),
+                    want,
+                    "{cur:?} toward {dst} on flow {flow}"
+                );
+                picks += 1;
+                some += usize::from(want.is_some());
+            }
+        }
+    }
+    assert!(
+        some > 0 && some < picks,
+        "{some} of {picks} picks found an egress"
+    );
 }

@@ -17,19 +17,29 @@
 //! Layout (versioned, length-prefixed, like [`crate::store`]):
 //!
 //! ```text
-//! magic "BDRC" | u16 version | u32 next_target | u64 packets |
-//! u64 clock_us | runtime | u32 blob_len | blob
+//! magic "BDRC" | u16 version = 2 | u32 next_target | u64 packets |
+//! u64 clock_us | runtime | u32 blob_len | blob | u32 crc32c
 //! runtime := u32 n | (u32 router, u16 val, u64 ms)* |
 //!            u32 n | (u32 addr,   u16 val, u64 ms)* |
 //!            u32 n | (u32 router, u64 count)*
-//! blob    := a "BDRW" trace store of the traces gathered so far
+//! blob    := a "BDRW" trace store of the traces gathered so far,
+//!            whose budget is (packets, clock_us / 1000)
+//! crc32c  := CRC32C of every byte before it
 //! ```
+//!
+//! The reader is strict: it accepts only what [`Checkpoint::encode`]
+//! writes. A wrong checksum, a version other than 2 (version 1 had no
+//! checksum and is refused like any retired format), runtime entries
+//! out of ascending order or repeated, a blob budget that disagrees with
+//! the header, and bytes between the blob and the checksum are all
+//! refused, so any checkpoint that decodes re-encodes to its own bytes.
 
 use crate::engine::{run_traces, ProbeBudget, ProbeEngine, RunOptions, TraceCollection};
 use crate::store::{self, StoreError};
 use crate::targets::TargetAs;
 use crate::trace::Trace;
 use bdrmap_dataplane::RuntimeSnapshot;
+use bdrmap_types::integrity::crc32c;
 use bdrmap_types::{addr, Addr, RouterId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::PathBuf;
@@ -37,7 +47,7 @@ use std::path::PathBuf;
 /// File magic.
 const MAGIC: &[u8; 4] = b"BDRC";
 /// Current format version.
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// When and where checkpoints are written.
 #[derive(Clone, Debug)]
@@ -102,23 +112,29 @@ impl Checkpoint {
         });
         buf.put_u32(blob.len() as u32);
         buf.extend_from_slice(&blob);
+        let crc = crc32c(&buf);
+        buf.put_u32(crc);
         buf.freeze()
     }
 
-    /// Parse the canonical byte encoding.
-    pub fn decode(mut data: Bytes) -> Result<Checkpoint, StoreError> {
-        if data.remaining() < 4 + 2 + 4 + 8 + 8 {
+    /// Parse the canonical byte encoding, refusing any other.
+    pub fn decode(data: Bytes) -> Result<Checkpoint, StoreError> {
+        if data.remaining() < 4 + 2 + 4 + 8 + 8 + 4 {
             return Err(StoreError::Truncated);
         }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        if &data[..4] != MAGIC {
             return Err(StoreError::BadMagic);
         }
-        let version = data.get_u16();
-        if version > VERSION {
+        let version = u16::from_be_bytes([data[4], data[5]]);
+        if version != VERSION {
             return Err(StoreError::BadVersion(version));
         }
+        let body_len = data.len() - 4;
+        let want = u32::from_be_bytes(data[body_len..].try_into().expect("four bytes"));
+        if crc32c(&data[..body_len]) != want {
+            return Err(StoreError::BadChecksum);
+        }
+        let mut data = data.slice(6..body_len);
         let next_target = data.get_u32();
         let packets = data.get_u64();
         let clock_us = data.get_u64();
@@ -136,6 +152,7 @@ impl Checkpoint {
             need(&data, 14)?;
             shared.push((RouterId(data.get_u32()), data.get_u16(), data.get_u64()));
         }
+        ascending(shared.iter().map(|e| e.0 .0))?;
         need(&data, 4)?;
         let n = data.get_u32() as usize;
         let mut per_iface: Vec<(Addr, u16, u64)> = Vec::with_capacity(n.min(1 << 20));
@@ -143,6 +160,7 @@ impl Checkpoint {
             need(&data, 14)?;
             per_iface.push((addr(data.get_u32()), data.get_u16(), data.get_u64()));
         }
+        ascending(per_iface.iter().map(|e| u32::from(e.0)))?;
         need(&data, 4)?;
         let n = data.get_u32() as usize;
         let mut emitted = Vec::with_capacity(n.min(1 << 20));
@@ -150,12 +168,16 @@ impl Checkpoint {
             need(&data, 12)?;
             emitted.push((RouterId(data.get_u32()), data.get_u64()));
         }
+        ascending(emitted.iter().map(|e| e.0 .0))?;
         need(&data, 4)?;
         let blob_len = data.get_u32() as usize;
-        if data.remaining() < blob_len {
+        if data.remaining() != blob_len {
             return Err(StoreError::Truncated);
         }
-        let coll = store::decode(data.split_to(blob_len))?;
+        let coll = store::decode(data)?;
+        if coll.budget.packets != packets || coll.budget.elapsed_ms != clock_us / 1000 {
+            return Err(StoreError::Truncated);
+        }
         Ok(Checkpoint {
             traces: coll.traces,
             next_target,
@@ -210,6 +232,19 @@ impl Checkpoint {
     }
 }
 
+/// Refuse runtime keys that are not strictly ascending, the order
+/// `Runtime::snapshot` writes each table in.
+fn ascending(keys: impl Iterator<Item = u32>) -> Result<(), StoreError> {
+    let mut prev = None;
+    for k in keys {
+        if prev.is_some_and(|p| p >= k) {
+            return Err(StoreError::Truncated);
+        }
+        prev = Some(k);
+    }
+    Ok(())
+}
+
 /// [`run_traces`] with periodic checkpointing, resuming from `resume`
 /// if given.
 ///
@@ -218,7 +253,9 @@ impl Checkpoint {
 /// determinism contract: a run resumed from any checkpoint finishes
 /// with byte-identical traces and counters to an uninterrupted run.
 /// On resume the engine's packet/clock counters and the data plane's
-/// router runtime are restored before any probe is sent.
+/// router runtime are restored before any probe is sent; a checkpoint
+/// whose next target lies past `targets` belongs to another run and is
+/// refused with an error naming `cfg.path`.
 pub fn run_traces_checkpointed(
     engine: &ProbeEngine,
     targets: &[TargetAs],
@@ -233,6 +270,17 @@ pub fn run_traces_checkpointed(
     };
     let (mut traces, start) = match resume {
         Some(cp) => {
+            if cp.next_target as usize > targets.len() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: checkpoint resumes at target {} of a run with {} targets",
+                        cfg.path.display(),
+                        cp.next_target,
+                        targets.len()
+                    ),
+                ));
+            }
             engine.restore_counters(cp.packets, cp.clock_us);
             engine.dataplane().restore_runtime(&cp.runtime);
             (cp.traces, cp.next_target as usize)
@@ -342,6 +390,120 @@ mod tests {
                 "cut at {cut} must not decode"
             );
         }
+    }
+
+    /// Replace the checksum trailer so a patched body passes it.
+    fn reseal(mut bytes: Vec<u8>) -> Bytes {
+        let body = bytes.len() - 4;
+        let crc = crc32c(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_be_bytes());
+        Bytes::from(bytes)
+    }
+
+    #[test]
+    fn decode_refuses_what_encode_never_writes() {
+        let cp = Checkpoint {
+            traces: vec![],
+            next_target: 2,
+            packets: 7000,
+            clock_us: 9_123_456,
+            runtime: RuntimeSnapshot {
+                shared: vec![(RouterId(3), 1, 5), (RouterId(9), 2, 6)],
+                per_iface: vec![(addr(10), 3, 7), (addr(20), 4, 8)],
+                emitted: vec![(RouterId(1), 4), (RouterId(2), 5)],
+            },
+        };
+        let good = cp.encode().to_vec();
+        let back = Checkpoint::decode(Bytes::from(good.clone())).unwrap();
+        assert_eq!(back.encode().to_vec(), good, "canonical re-encode");
+        let err = |b: Bytes| Checkpoint::decode(b).err();
+
+        // A flipped bit is refused wherever it lands: magic, body or
+        // checksum.
+        for bit in [0, 60, good.len() * 8 - 1] {
+            let mut bad = good.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(err(Bytes::from(bad)).is_some(), "bit {bit}");
+        }
+        let mut bad = good.clone();
+        bad[30] ^= 4;
+        assert_eq!(err(Bytes::from(bad)), Some(StoreError::BadChecksum));
+
+        // Retired and unknown versions, even correctly sealed.
+        for v in [0u16, 1, 3] {
+            let mut bad = good.clone();
+            bad[4..6].copy_from_slice(&v.to_be_bytes());
+            assert_eq!(err(reseal(bad)), Some(StoreError::BadVersion(v)));
+        }
+
+        // Bytes between the blob and the checksum.
+        let mut bad = good.clone();
+        bad.splice(good.len() - 4..good.len() - 4, [0u8; 3]);
+        assert_eq!(err(reseal(bad)), Some(StoreError::Truncated));
+
+        // A header budget the blob disagrees with (packets at bytes 10..18).
+        let mut bad = good.clone();
+        bad[17] ^= 1;
+        assert_eq!(err(reseal(bad)), Some(StoreError::Truncated));
+
+        // Runtime entries out of order or repeated, in each table.
+        let reordered = |f: &dyn Fn(&mut RuntimeSnapshot)| {
+            let mut c = cp.clone();
+            f(&mut c.runtime);
+            Checkpoint::decode(c.encode()).err()
+        };
+        assert_eq!(
+            reordered(&|r| r.shared.reverse()),
+            Some(StoreError::Truncated)
+        );
+        assert_eq!(
+            reordered(&|r| r.shared[1].0 = r.shared[0].0),
+            Some(StoreError::Truncated)
+        );
+        assert_eq!(
+            reordered(&|r| r.per_iface.reverse()),
+            Some(StoreError::Truncated)
+        );
+        assert_eq!(
+            reordered(&|r| r.emitted.reverse()),
+            Some(StoreError::Truncated)
+        );
+        assert_eq!(
+            reordered(&|r| r.emitted[1].0 = r.emitted[0].0),
+            Some(StoreError::Truncated)
+        );
+    }
+
+    #[test]
+    fn resume_past_the_target_list_is_refused() {
+        let (dp, view) = setup(64);
+        let vp = dp.internet().vps[0].addr;
+        let targets = target_blocks(&view, &dp.internet().vp_siblings);
+        let cp = Checkpoint {
+            traces: vec![],
+            next_target: targets.len() as u32 + 1,
+            packets: 0,
+            clock_us: 0,
+            runtime: RuntimeSnapshot::default(),
+        };
+        let cfg = CheckpointConfig {
+            every: 1,
+            path: tmp_path("past-end.bdrc"),
+            vfs: bdrmap_types::Vfs::real(),
+        };
+        let engine = ProbeEngine::new(Arc::clone(&dp), vp, EngineConfig::default());
+        let err = run_traces_checkpointed(
+            &engine,
+            &targets,
+            RunOptions::default(),
+            |_| true,
+            &cfg,
+            Some(cp),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("past-end.bdrc"), "{err}");
+        assert_eq!(engine.counters(), (0, 0), "nothing was probed");
     }
 
     #[test]

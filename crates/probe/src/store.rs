@@ -47,6 +47,8 @@ pub enum StoreError {
     BadVersion(u16),
     /// Truncated or internally inconsistent.
     Truncated,
+    /// The bytes do not match their checksum.
+    BadChecksum,
 }
 
 impl std::fmt::Display for StoreError {
@@ -55,6 +57,7 @@ impl std::fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a bdrmap trace store"),
             StoreError::BadVersion(v) => write!(f, "unsupported store version {v}"),
             StoreError::Truncated => write!(f, "truncated trace store"),
+            StoreError::BadChecksum => write!(f, "checksum mismatch"),
         }
     }
 }

@@ -215,3 +215,21 @@ fn sibling_org_routers_are_not_borders() {
     // And the map still finds external neighbors.
     assert!(map.neighbors().len() > 3);
 }
+
+#[test]
+fn tiny_map_bytes_match_pinned_crc() {
+    // At trace and alias parallelism 1 the map is a pure function of
+    // (world, seed, config), so its encoded bytes can be pinned: a
+    // change to the simulator, the probing or the inference that moves
+    // any byte must update this digest on purpose.
+    let sc = Scenario::build("tiny", &TopoConfig::tiny(42));
+    let cfg = BdrmapConfig {
+        parallelism: 1,
+        alias_parallelism: 1,
+        ..BdrmapConfig::default()
+    };
+    let map = sc.run_vp(0, &cfg);
+    let bytes = bdrmap::core::snapshot::encode_v3(&map).expect("an inferred map encodes");
+    let crc = bdrmap::types::integrity::crc32c(&bytes);
+    assert_eq!((crc, bytes.len()), (0x1c76_cbe2, 2878));
+}
