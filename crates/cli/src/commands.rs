@@ -712,13 +712,8 @@ fn serve_map(args: &Args) -> Result<(bdrmap_core::BorderMap, Vec<(Prefix, Asn)>)
 }
 
 fn serve_config(args: &Args, listen: String) -> Result<ServeConfig, ArgError> {
-    let backend = match args.get("server-backend") {
-        Some(s) => s.parse::<bdrmap_serve::ServerBackend>().map_err(ArgError)?,
-        None => bdrmap_serve::ServerBackend::default(),
-    };
     Ok(ServeConfig {
         listen,
-        backend,
         metrics_addr: args.get("metrics-addr").map(str::to_string),
         workers: args.get_parse("workers", 4)?,
         queue: args.get_parse("queue", 128)?,
@@ -736,11 +731,10 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         let cfg = serve_config(args, listen)?;
         let workers = cfg.workers;
         let queue = cfg.queue;
-        let backend = cfg.backend;
         let server = Server::start_from_store(dir, cfg)
             .map_err(|e| ArgError(format!("starting bdrmapd from store {dir}: {e}")))?;
         println!(
-            "bdrmapd serving store {dir} generation {} on {} ({backend} backend, {} workers, accept queue {})",
+            "bdrmapd serving store {dir} generation {} on {} ({} event loops, admission queue {})",
             server.store_generation(),
             server.local_addr(),
             workers,
@@ -751,7 +745,6 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         let cfg = serve_config(args, listen)?;
         let workers = cfg.workers;
         let queue = cfg.queue;
-        let backend = cfg.backend;
         let server = match args.get("snapshot") {
             // A saved snapshot is served as read: one verification, no
             // decode. A bare snapshot carries no BGP view, so no prefix
@@ -775,7 +768,7 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         .map_err(|e| ArgError(format!("starting bdrmapd: {e}")))?;
         let stats = server.stats();
         println!(
-            "bdrmapd serving {} routers / {} links on {} ({backend} backend, {} workers, accept queue {})",
+            "bdrmapd serving {} routers / {} links on {} ({} event loops, admission queue {})",
             stats.routers,
             stats.links,
             server.local_addr(),
@@ -1126,9 +1119,6 @@ fn loadgen_scale(args: &Args) -> Result<(), ArgError> {
         let mut report =
             bdrmap_serve::loadgen::run_scale(addr, &bdrmap_serve::queries_for_map(&map), &scfg)
                 .map_err(|e| ArgError(format!("scale load generation failed: {e}")))?;
-        // A remote server's backend is whatever the operator started;
-        // trust the flag if given, otherwise label it unknown.
-        report.backend = args.get("server-backend").unwrap_or("unknown").to_string();
         // Per-loop counters live in the remote server's process; pull
         // them out of its metrics exposition over the query protocol.
         if let Ok(mut client) = Client::connect(&addr) {
@@ -1149,7 +1139,6 @@ fn loadgen_scale(args: &Args) -> Result<(), ArgError> {
             // explicitly to exercise shedding.
             cfg.queue = connections + 1024;
         }
-        let backend = cfg.backend;
         let server =
             Server::start(&map, cfg).map_err(|e| ArgError(format!("starting bdrmapd: {e}")))?;
         let result = bdrmap_serve::loadgen::run_scale(
@@ -1159,7 +1148,6 @@ fn loadgen_scale(args: &Args) -> Result<(), ArgError> {
         );
         let mut report =
             result.map_err(|e| ArgError(format!("scale load generation failed: {e}")))?;
-        report.backend = backend.to_string();
         report.loops = server
             .loop_stats()
             .iter()
@@ -1180,11 +1168,10 @@ fn loadgen_scale(args: &Args) -> Result<(), ArgError> {
     };
     report.connections = connections;
     println!(
-        "{} conns ({} active / {} idle) on {} backend for {:.2}s: {} ok | {:.0} qps | p50 {} us, p99 {} us, p99.9 {} us",
+        "{} conns ({} active / {} idle) for {:.2}s: {} ok | {:.0} qps | p50 {} us, p99 {} us, p99.9 {} us",
         report.connections,
         report.active_conns,
         report.idle_conns,
-        report.backend,
         report.duration_s,
         report.queries_ok,
         report.qps,
@@ -2192,19 +2179,12 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
         accept_panic_after: Some(2),
         worker_panic_after: Some(5),
     };
-    let mut scfg = ServeConfig {
+    let scfg = ServeConfig {
         restart_backoff: Duration::from_millis(10),
         restart_backoff_cap: Duration::from_millis(80),
         chaos: Some(net_cfg),
         ..serve_config(args, "127.0.0.1:0".to_string())?
     };
-    if args.get("server-backend").is_none() {
-        // The chaos report is byte-identical per seed pair, and the
-        // threads backend is the reference that contract was cut
-        // against; epoll runs opt in via --server-backend epoll (CI
-        // does, asserting invariants rather than bytes).
-        scfg.backend = bdrmap_serve::ServerBackend::Threads;
-    }
     let server = Server::start_from_store(&snapdir, scfg)
         .map_err(|e| ArgError(format!("starting bdrmapd from {}: {e}", snapdir.display())))?;
     if server.store_generation() != last_gen {

@@ -34,7 +34,6 @@ const VALUE_KEYS: &[&str] = &[
     "connect",
     "workers",
     "queue",
-    "server-backend",
     "metrics-addr",
     "connections",
     "idle-frac",
@@ -138,12 +137,11 @@ SERVING (serve / query / loadgen):
                          files, quarantining them)
     --snapshot <path>    serve/loadgen: use a saved snapshot instead of inferring
     --listen <addr>      `serve`: bind address (default 127.0.0.1:47700)
-    --workers <n>        worker threads / event loops (default 4)
-    --queue <n>          accept-queue depth before shedding (default 128)
-    --server-backend <threads|epoll>  serving backend (default: epoll on
-                         Linux, threads elsewhere; chaos pins threads)
+    --workers <n>        event loops (default 4)
+    --queue <n>          connections admitted past the loop count before
+                         shedding (default 128)
     --metrics-addr <addr>  serve/loadgen: also serve GET /metrics over
-                         plain HTTP on this address (epoll backend only)
+                         plain HTTP on this address
     --connect <addr>     query/loadgen: a running bdrmapd to talk to
     --addr <ip>          `query`: who owns this address?
     --border <ip>        `query`: which border link carries this interface?

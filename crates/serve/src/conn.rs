@@ -1,32 +1,26 @@
-//! Robust per-connection frame extraction.
+//! Per-connection framing policy and server-side socket chaos.
 //!
-//! [`Conn`] wraps a [`TcpStream`] with a receive buffer and enforces the
-//! server's connection-robustness policy at the framing layer, before
-//! any protocol decode runs:
+//! [`FrameBuf`] accumulates one connection's bytes and enforces the
+//! server's robustness policy at the framing layer, before any protocol
+//! decode runs:
 //!
-//! - **Setup errors surface.** Failing to arm socket timeouts would
-//!   leave a worker blockable forever by one peer, so `Conn::new`
-//!   propagates those failures instead of ignoring them.
-//! - **Request deadline (slow-loris defence).** Once the first byte of
-//!   a frame arrives, the rest must follow within
-//!   [`ConnLimits::request_deadline`]. A peer that drips one byte per
-//!   poll interval never trips a read timeout, so the deadline is
-//!   checked on every wakeup — timeout *and* successful read alike.
 //! - **Max inflight frames.** A peer that pipelines an unbounded burst
-//!   of frames in one write could monopolise its worker; more than
-//!   [`ConnLimits::max_inflight`] complete frames buffered at once is
+//!   of frames in one write could monopolise its loop; more than
+//!   [`ConnLimits::max_inflight`] complete frames extracted at once is
 //!   an eviction.
 //! - **Oversize frames** are rejected by length prefix alone — the
 //!   payload is never buffered.
 //!
-//! Idle connections (no partial frame buffered) are *not* evicted; the
-//! caller sees [`ConnEvent::Idle`] ticks and decides (e.g. checks the
-//! shutdown flag).
+//! The event loops enforce the time-based half of [`ConnLimits`]: a
+//! started frame must complete within its request deadline (slow-loris
+//! defence), and queued responses must drain within the write deadline.
+//! Idle connections (no partial frame buffered) are never evicted.
+//!
+//! [`ChaosNet`] is the seeded server-side fault schedule the loops
+//! consult at every accept, received frame and response write.
 
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The splitmix64 step, the workspace's standard deterministic PRNG.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -46,7 +40,7 @@ pub struct NetFaultBudget {
     pub split: u32,
     /// Responses cut off mid-write by a TCP reset.
     pub reset: u32,
-    /// Accepted connections delayed before being handed to a worker.
+    /// Accepted connections delayed before admission.
     pub accept_delay: u32,
     /// Received frames whose handling stalls before dispatch.
     pub stall: u32,
@@ -75,12 +69,12 @@ pub struct ChaosNetConfig {
     pub budget: NetFaultBudget,
     /// How long an injected accept delay or stall lasts.
     pub delay: Duration,
-    /// Panic the acceptor thread when it has accepted exactly this
-    /// many connections (a scripted, count-based crash — deterministic
-    /// where a random draw would not be). Fires at most once.
+    /// With `Some(n)`, panic the loop that makes the server's nth
+    /// accept (a scripted, count-based crash — deterministic where a
+    /// random draw would not be). Fires at most once.
     pub accept_panic_after: Option<u64>,
-    /// Panic a worker thread when the server has received exactly this
-    /// many request frames. Fires at most once.
+    /// With `Some(n)`, panic the loop that receives the server's nth
+    /// request frame. Fires at most once.
     pub worker_panic_after: Option<u64>,
 }
 
@@ -110,22 +104,24 @@ pub struct NetFaultCounts {
     pub stall: u64,
 }
 
-/// What the acceptor should do with the connection it just accepted.
+/// What a loop should do with the connection it just accepted.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AcceptAction {
-    /// Sleep this long before queueing the connection.
+    /// Sleep this long before admitting the connection.
     pub delay: Option<Duration>,
-    /// Panic the acceptor thread (scripted crash for the watchdog).
+    /// Panic the loop (a scripted crash the watchdog counts as an
+    /// acceptor restart).
     pub panic: bool,
 }
 
-/// What a worker should do with the frame it just received.
+/// What a loop should do with a request frame it just received.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FrameAction {
     /// Sleep this long before dispatching (a stuck read, from the
     /// client's point of view).
     pub stall: Option<Duration>,
-    /// Panic the worker thread (scripted crash for the watchdog).
+    /// Panic the loop (a scripted crash the watchdog counts as a worker
+    /// restart).
     pub panic: bool,
 }
 
@@ -164,9 +160,9 @@ struct NetState {
 }
 
 /// Seeded server-side socket chaos: frame splitting, mid-write resets,
-/// accept delays, pre-dispatch stalls, and scripted thread crashes.
-/// Clones share state, so the acceptor, every worker, and the test
-/// harness all observe one schedule and one budget.
+/// accept delays, pre-dispatch stalls, and scripted loop crashes.
+/// Clones share state, so every loop and the test harness observe one
+/// schedule and one budget.
 #[derive(Clone, Debug)]
 pub struct ChaosNet {
     state: Arc<Mutex<NetState>>,
@@ -239,7 +235,7 @@ impl ChaosNet {
         true
     }
 
-    /// Called by the acceptor once per accepted connection.
+    /// Called by a loop once per accepted connection.
     pub fn on_accept(&self) -> AcceptAction {
         let mut st = self.lock();
         st.accepts += 1;
@@ -257,7 +253,7 @@ impl ChaosNet {
         }
     }
 
-    /// Called by a worker once per received request frame, before
+    /// Called by a loop once per received request frame, before
     /// dispatch.
     pub fn on_frame(&self) -> FrameAction {
         let mut st = self.lock();
@@ -277,9 +273,9 @@ impl ChaosNet {
     }
 
     /// Which scripted panics have fired so far, as
-    /// `(acceptor, worker)`. The event backend's supervisor uses this
-    /// to attribute a dead loop to the component whose scripted crash
-    /// killed it, keeping restart counters comparable across backends.
+    /// `(acceptor, worker)`. The supervisor uses this to attribute a
+    /// dead loop to the component whose scripted crash killed it, which
+    /// keeps the `{component="acceptor"|"worker"}` restart split.
     pub fn scripted_fired(&self) -> (bool, bool) {
         let st = self.lock();
         (st.acceptor_panicked, st.worker_panicked)
@@ -307,75 +303,18 @@ impl ChaosNet {
     }
 }
 
-/// Per-connection policy knobs.
+/// Per-connection policy knobs, derived from
+/// [`ServeConfig`](crate::ServeConfig).
 #[derive(Clone, Copy, Debug)]
 pub struct ConnLimits {
-    /// Blocking-read poll interval (also the shutdown-check cadence).
-    pub poll: Duration,
     /// A started frame must complete within this long.
     pub request_deadline: Duration,
-    /// Socket write timeout for responses.
+    /// Queued response bytes must drain within this long.
     pub write_deadline: Duration,
     /// Max complete frames buffered from one connection at once.
     pub max_inflight: usize,
     /// Max frame payload length in bytes.
     pub max_frame: usize,
-}
-
-impl Default for ConnLimits {
-    fn default() -> Self {
-        ConnLimits {
-            poll: Duration::from_millis(200),
-            request_deadline: Duration::from_secs(5),
-            write_deadline: Duration::from_secs(5),
-            max_inflight: 64,
-            max_frame: bdrmap_types::wire::MAX_FRAME,
-        }
-    }
-}
-
-/// Why a connection was terminated by policy rather than by the peer.
-#[derive(Debug)]
-pub enum ConnError {
-    /// Socket configuration (nodelay/timeouts) failed during setup.
-    Setup(io::Error),
-    /// A started frame outlived the request deadline.
-    SlowLoris,
-    /// More than `max_inflight` complete frames buffered at once.
-    Flood,
-    /// A frame length prefix exceeded `max_frame`.
-    Oversize(usize),
-    /// The peer closed mid-frame.
-    MidFrameEof,
-    /// Transport error.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for ConnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConnError::Setup(e) => write!(f, "connection setup: {e}"),
-            ConnError::SlowLoris => write!(f, "request deadline exceeded"),
-            ConnError::Flood => write!(f, "too many inflight frames"),
-            ConnError::Oversize(n) => write!(f, "frame length {n} exceeds cap"),
-            ConnError::MidFrameEof => write!(f, "peer closed mid-frame"),
-            ConnError::Io(e) => write!(f, "io: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ConnError {}
-
-/// One wakeup's worth of progress on a connection.
-#[derive(Debug)]
-pub enum ConnEvent {
-    /// Complete frame payloads, in arrival order (≥ 1, ≤ `max_inflight`).
-    Frames(Vec<Vec<u8>>),
-    /// Poll interval elapsed with no partial frame pending; a good
-    /// moment for the caller to check its shutdown flag.
-    Idle,
-    /// The peer closed cleanly at a frame boundary.
-    Closed,
 }
 
 /// Why a [`FrameBuf`] refused its contents.
@@ -387,9 +326,10 @@ pub enum FrameError {
     Flood,
 }
 
-/// Policy-enforcing accumulator for length-prefixed frames, shared by
-/// the blocking [`Conn`] and the event backend's per-connection state
-/// machines. Push raw bytes in, extract complete payloads out; the
+/// Policy-enforcing accumulator for length-prefixed frames, used by the
+/// event loops' per-connection state machines and the scale load
+/// generator's client loop. Push raw bytes in, extract complete
+/// payloads out; the
 /// oversize check runs on the length prefix alone (the payload is
 /// never buffered) and the flood cap bounds frames per extraction.
 #[derive(Debug)]
@@ -423,7 +363,7 @@ impl FrameBuf {
     /// Pull every complete frame out, in arrival order. Errors on
     /// oversize length prefixes and on inflight floods; complete
     /// frames parsed before the violation are dropped with the
-    /// connection, exactly as the blocking backend behaves.
+    /// connection.
     pub fn extract(&mut self) -> Result<Vec<Vec<u8>>, FrameError> {
         let mut frames = Vec::new();
         let mut pos = 0usize;
@@ -450,323 +390,21 @@ impl FrameBuf {
     }
 }
 
-/// A framed connection with deadlines.
-pub struct Conn {
-    stream: TcpStream,
-    buf: FrameBuf,
-    /// When the oldest incomplete frame started arriving.
-    partial_since: Option<Instant>,
-    limits: ConnLimits,
-    /// Server-side chaos schedule; `None` outside chaos runs.
-    chaos: Option<ChaosNet>,
-}
-
-impl Conn {
-    /// Wrap and configure a stream. Socket-option failures are real
-    /// errors: a connection we cannot put timeouts on could pin a
-    /// worker forever.
-    pub fn new(
-        stream: TcpStream,
-        limits: ConnLimits,
-        chaos: Option<ChaosNet>,
-    ) -> Result<Conn, ConnError> {
-        stream.set_nodelay(true).map_err(ConnError::Setup)?;
-        stream
-            .set_read_timeout(Some(limits.poll))
-            .map_err(ConnError::Setup)?;
-        stream
-            .set_write_timeout(Some(limits.write_deadline))
-            .map_err(ConnError::Setup)?;
-        Ok(Conn {
-            stream,
-            buf: FrameBuf::new(limits.max_frame, limits.max_inflight),
-            partial_since: None,
-            limits,
-            chaos,
-        })
-    }
-
-    /// The underlying stream, for writing responses.
-    pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
-    /// Write one length-prefixed response frame, executing whatever
-    /// plan the chaos schedule dictates: a clean write, a split write
-    /// with a pause between the halves, or a mid-write reset (partial
-    /// bytes, then a hard close — the error surfaces so the worker
-    /// drops the connection).
-    pub fn send(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(payload);
-        let plan = match &self.chaos {
-            Some(c) => c.write_plan(frame.len()),
-            None => WritePlan::Intact,
-        };
-        match plan {
-            WritePlan::Intact => self.stream.write_all(&frame),
-            WritePlan::Split(cut) => {
-                self.stream.write_all(&frame[..cut])?;
-                self.stream.flush()?;
-                // A pause long enough that the halves land in separate
-                // segments; the client's framing must reassemble them.
-                std::thread::sleep(Duration::from_millis(2));
-                self.stream.write_all(&frame[cut..])
-            }
-            WritePlan::ResetAfter(cut) => {
-                let _ = self.stream.write_all(&frame[..cut]);
-                let _ = self.stream.flush();
-                let _ = self.stream.shutdown(Shutdown::Both);
-                Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "chaos: injected mid-write reset",
-                ))
-            }
-        }
-    }
-
-    /// Pull every complete frame out of the buffer. Errors on oversize
-    /// length prefixes and on inflight floods.
-    fn extract(&mut self) -> Result<Vec<Vec<u8>>, ConnError> {
-        let frames = self.buf.extract().map_err(|e| match e {
-            FrameError::Oversize(n) => ConnError::Oversize(n),
-            FrameError::Flood => ConnError::Flood,
-        })?;
-        if !self.buf.has_bytes() {
-            self.partial_since = None;
-        }
-        Ok(frames)
-    }
-
-    /// Block (up to the poll interval) for the next event.
-    pub fn next_event(&mut self) -> Result<ConnEvent, ConnError> {
-        loop {
-            let frames = self.extract()?;
-            if !frames.is_empty() {
-                return Ok(ConnEvent::Frames(frames));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if !self.buf.has_bytes() {
-                        Ok(ConnEvent::Closed)
-                    } else {
-                        Err(ConnError::MidFrameEof)
-                    };
-                }
-                Ok(n) => {
-                    if !self.buf.has_bytes() {
-                        self.partial_since = Some(Instant::now());
-                    }
-                    self.buf.push(&chunk[..n]);
-                    // Check the deadline after successful reads too: a
-                    // drip-feeding peer keeps the socket "live" and
-                    // would otherwise never hit the timeout branch.
-                    if let Some(t0) = self.partial_since {
-                        if t0.elapsed() >= self.limits.request_deadline {
-                            return Err(ConnError::SlowLoris);
-                        }
-                    }
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    match self.partial_since {
-                        Some(t0) if t0.elapsed() >= self.limits.request_deadline => {
-                            return Err(ConnError::SlowLoris);
-                        }
-                        Some(_) => {} // keep waiting for the rest of the frame
-                        None => return Ok(ConnEvent::Idle),
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ConnError::Io(e)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    #![cfg_attr(not(target_os = "linux"), allow(dead_code, unused_imports))]
     use super::*;
-    use std::io::Write;
-    use std::net::TcpListener;
-
-    fn pair(limits: ConnLimits) -> (TcpStream, Conn) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, Conn::new(server, limits, None).unwrap())
-    }
+    use crate::proto::{Request, Response};
+    use crate::{ServeConfig, Server};
+    use bdrmap_types::wire::{read_frame, MAX_FRAME};
+    use std::io::{self, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut v = (payload.len() as u32).to_be_bytes().to_vec();
         v.extend_from_slice(payload);
         v
-    }
-
-    fn fast() -> ConnLimits {
-        ConnLimits {
-            poll: Duration::from_millis(20),
-            request_deadline: Duration::from_millis(120),
-            ..ConnLimits::default()
-        }
-    }
-
-    #[test]
-    fn whole_frames_arrive() {
-        let (mut client, mut conn) = pair(fast());
-        client.write_all(&frame(b"hello")).unwrap();
-        client.write_all(&frame(b"world")).unwrap();
-        match conn.next_event().unwrap() {
-            ConnEvent::Frames(frames) => {
-                assert_eq!(frames.len(), 2);
-                assert_eq!(frames[0], b"hello");
-                assert_eq!(frames[1], b"world");
-            }
-            other => panic!("expected frames, got {other:?}"),
-        }
-        drop(client);
-        assert!(matches!(conn.next_event().unwrap(), ConnEvent::Closed));
-    }
-
-    #[test]
-    fn split_frame_reassembles() {
-        let (mut client, mut conn) = pair(fast());
-        let f = frame(b"split-me");
-        client.write_all(&f[..3]).unwrap();
-        client.flush().unwrap();
-        let writer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            client.write_all(&f[3..]).unwrap();
-            client
-        });
-        match conn.next_event().unwrap() {
-            ConnEvent::Frames(frames) => assert_eq!(frames[0], b"split-me"),
-            other => panic!("expected frames, got {other:?}"),
-        }
-        drop(writer.join().unwrap());
-    }
-
-    #[test]
-    fn idle_ticks_without_eviction() {
-        let (client, mut conn) = pair(fast());
-        // No bytes at all: idle, not an error, even past the deadline.
-        for _ in 0..3 {
-            assert!(matches!(conn.next_event().unwrap(), ConnEvent::Idle));
-        }
-        drop(client);
-    }
-
-    #[test]
-    fn slow_loris_is_evicted() {
-        let (mut client, mut conn) = pair(fast());
-        // Two bytes of a header, then silence: the deadline applies.
-        client.write_all(&[0, 0]).unwrap();
-        client.flush().unwrap();
-        let start = Instant::now();
-        match conn.next_event() {
-            Err(ConnError::SlowLoris) => {}
-            Ok(ConnEvent::Idle) => panic!("partial frame misread as idle"),
-            Ok(other) => panic!("unexpected event {other:?}"),
-            Err(e) => panic!("unexpected error {e}"),
-        }
-        assert!(start.elapsed() >= Duration::from_millis(100));
-    }
-
-    #[test]
-    fn drip_feed_is_evicted() {
-        let (mut client, mut conn) = pair(fast());
-        // Keep the socket warm with one byte per poll — never idle,
-        // never complete. Must still die by the deadline.
-        let writer = std::thread::spawn(move || {
-            let mut header = vec![0u8, 0, 1, 0];
-            header.resize(64, 0xAB);
-            for b in header {
-                if client.write_all(&[b]).is_err() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(15));
-            }
-        });
-        let start = Instant::now();
-        let err = loop {
-            match conn.next_event() {
-                Err(e) => break e,
-                Ok(ConnEvent::Frames(_)) => panic!("frame should never complete"),
-                Ok(_) => {}
-            }
-        };
-        assert!(matches!(err, ConnError::SlowLoris), "got {err:?}");
-        assert!(start.elapsed() < Duration::from_secs(2));
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn flood_is_evicted() {
-        let limits = ConnLimits {
-            max_inflight: 4,
-            ..fast()
-        };
-        let (mut client, mut conn) = pair(limits);
-        let mut burst = Vec::new();
-        for _ in 0..32 {
-            burst.extend_from_slice(&frame(b"x"));
-        }
-        client.write_all(&burst).unwrap();
-        client.flush().unwrap();
-        // One wakeup may deliver a partial buffer below the cap; keep
-        // reading until the policy triggers.
-        let err = loop {
-            match conn.next_event() {
-                Err(e) => break e,
-                Ok(ConnEvent::Frames(f)) if f.len() <= 4 => continue,
-                Ok(other) => panic!("unexpected event {other:?}"),
-            }
-        };
-        assert!(matches!(err, ConnError::Flood), "got {err:?}");
-    }
-
-    #[test]
-    fn oversize_prefix_rejected_without_buffering() {
-        let limits = ConnLimits {
-            max_frame: 1024,
-            ..fast()
-        };
-        let (mut client, mut conn) = pair(limits);
-        client.write_all(&(u32::MAX).to_be_bytes()).unwrap();
-        client.flush().unwrap();
-        let err = match conn.next_event() {
-            Err(e) => e,
-            Ok(other) => panic!("unexpected event {other:?}"),
-        };
-        assert!(
-            matches!(err, ConnError::Oversize(n) if n == u32::MAX as usize),
-            "got {err:?}"
-        );
-    }
-
-    fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-        let mut hdr = [0u8; 4];
-        stream.read_exact(&mut hdr)?;
-        let len = u32::from_be_bytes(hdr) as usize;
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload)?;
-        Ok(payload)
-    }
-
-    fn chaos_pair(limits: ConnLimits, chaos: ChaosNet) -> (TcpStream, Conn) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, Conn::new(server, limits, Some(chaos)).unwrap())
     }
 
     #[test]
@@ -821,42 +459,6 @@ mod tests {
         assert_eq!(resets, 2, "budget caps injections");
         assert_eq!(net.counts().reset, 2);
         assert!(matches!(net.write_plan(64), WritePlan::Intact));
-    }
-
-    #[test]
-    fn split_send_still_delivers_a_whole_frame() {
-        let net = ChaosNet::new(ChaosNetConfig {
-            seed: 3,
-            fault_rate: 1.0,
-            budget: NetFaultBudget {
-                split: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let (mut client, mut conn) = chaos_pair(fast(), net.clone());
-        conn.send(b"split-response").unwrap();
-        assert_eq!(read_frame(&mut client).unwrap(), b"split-response");
-        assert_eq!(net.counts().split, 1);
-    }
-
-    #[test]
-    fn reset_send_errors_and_kills_the_socket() {
-        let net = ChaosNet::new(ChaosNetConfig {
-            seed: 5,
-            fault_rate: 1.0,
-            budget: NetFaultBudget {
-                reset: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let (mut client, mut conn) = chaos_pair(fast(), net.clone());
-        let err = conn.send(b"doomed-response").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        // The client sees a truncated stream, never a valid frame.
-        assert!(read_frame(&mut client).is_err());
-        assert_eq!(net.counts().reset, 1);
     }
 
     #[test]
@@ -925,16 +527,199 @@ mod tests {
         assert_eq!(fb.extract(), Err(FrameError::Flood));
     }
 
+    // The tests below hold one connection against a one-loop server:
+    // the policy above as the event loops apply it on a real socket
+    // (serving is Linux-only).
+
+    fn fast() -> ServeConfig {
+        ServeConfig {
+            workers: 1,
+            request_deadline: Duration::from_millis(120),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// A server over an empty map and one client connected to it.
+    fn pair(cfg: ServeConfig) -> (Server, TcpStream) {
+        let server = Server::start(&bdrmap_core::BorderMap::default(), cfg).unwrap();
+        let client = TcpStream::connect(server.local_addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (server, client)
+    }
+
+    fn request(req: &Request) -> Vec<u8> {
+        frame(&req.encode())
+    }
+
+    fn answer(client: &mut TcpStream) -> Response {
+        let payload = read_frame(client, MAX_FRAME).unwrap().expect("an answer");
+        Response::decode(&payload).unwrap()
+    }
+
+    /// Read until the server closes the connection; the reason in the
+    /// last `Error` frame seen, which an eviction sends as its goodbye.
+    fn goodbye(client: &mut TcpStream) -> Option<String> {
+        let mut reason = None;
+        while let Ok(Some(payload)) = read_frame(client, MAX_FRAME) {
+            if let Ok(Response::Error(r)) = Response::decode(&payload) {
+                reason = Some(r);
+            }
+        }
+        reason
+    }
+
+    #[cfg(target_os = "linux")]
     #[test]
-    fn mid_frame_eof_is_distinguished() {
-        let (mut client, mut conn) = pair(fast());
-        client.write_all(&frame(b"abc")[..5]).unwrap();
-        client.flush().unwrap();
-        drop(client);
-        let err = match conn.next_event() {
-            Err(e) => e,
-            Ok(other) => panic!("unexpected event {other:?}"),
-        };
-        assert!(matches!(err, ConnError::MidFrameEof), "got {err:?}");
+    fn whole_frames_arrive() {
+        let (server, mut client) = pair(fast());
+        let mut both = request(&Request::Stats);
+        both.extend_from_slice(&request(&Request::Health));
+        client.write_all(&both).unwrap();
+        assert!(matches!(answer(&mut client), Response::Stats(_)));
+        assert!(matches!(answer(&mut client), Response::Health(_)));
+        // The peer is done: the server closes between frames.
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(read_frame(&mut client, MAX_FRAME).unwrap(), None);
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn split_frame_reassembles() {
+        let (server, mut client) = pair(fast());
+        let f = request(&Request::Stats);
+        client.write_all(&f[..3]).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        client.write_all(&f[3..]).unwrap();
+        match answer(&mut client) {
+            Response::Stats(s) => assert_eq!(s.evicted_slow, 0),
+            other => panic!("expected stats, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_ticks_without_eviction() {
+        let (server, mut client) = pair(fast());
+        // No bytes at all: idle, not an error, even past the deadline.
+        std::thread::sleep(3 * fast().request_deadline);
+        client.write_all(&request(&Request::Stats)).unwrap();
+        match answer(&mut client) {
+            Response::Stats(s) => assert_eq!((s.evicted_slow, s.evicted_flood), (0, 0)),
+            other => panic!("expected stats, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn slow_loris_is_evicted() {
+        let (server, mut client) = pair(fast());
+        // Two bytes of a header, then silence: the deadline applies.
+        let start = Instant::now();
+        client.write_all(&[0, 0]).unwrap();
+        assert_eq!(
+            goodbye(&mut client).as_deref(),
+            Some("request deadline exceeded")
+        );
+        assert!(start.elapsed() >= fast().request_deadline);
+        assert_eq!(server.stats().evicted_slow, 1);
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn flood_is_evicted() {
+        let (server, mut client) = pair(ServeConfig {
+            max_inflight: 4,
+            ..fast()
+        });
+        client
+            .write_all(&request(&Request::Stats).repeat(32))
+            .unwrap();
+        assert_eq!(
+            goodbye(&mut client).as_deref(),
+            Some("frame limits exceeded")
+        );
+        let s = server.stats();
+        assert_eq!((s.evicted_flood, s.evicted_slow), (1, 0));
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn oversize_prefix_rejected_without_buffering() {
+        // A deadline far past the read timeout: only a refusal on the
+        // prefix alone, with no payload awaited, can close us in time.
+        let (server, mut client) = pair(ServeConfig {
+            request_deadline: Duration::from_secs(60),
+            ..fast()
+        });
+        client.write_all(&u32::MAX.to_be_bytes()).unwrap();
+        assert_eq!(
+            goodbye(&mut client).as_deref(),
+            Some("frame limits exceeded")
+        );
+        let s = server.stats();
+        assert_eq!((s.evicted_flood, s.evicted_slow), (1, 0));
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn split_send_still_delivers_a_whole_frame() {
+        let (server, mut client) = pair(ServeConfig {
+            chaos: Some(ChaosNetConfig {
+                seed: 3,
+                fault_rate: 1.0,
+                budget: NetFaultBudget {
+                    split: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            }),
+            ..fast()
+        });
+        client.write_all(&request(&Request::Stats)).unwrap();
+        assert!(matches!(answer(&mut client), Response::Stats(_)));
+        assert_eq!(server.net_fault_counts().unwrap().split, 1);
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn reset_send_errors_and_kills_the_socket() {
+        let (server, mut client) = pair(ServeConfig {
+            chaos: Some(ChaosNetConfig {
+                seed: 5,
+                fault_rate: 1.0,
+                budget: NetFaultBudget {
+                    reset: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            }),
+            ..fast()
+        });
+        client.write_all(&request(&Request::Stats)).unwrap();
+        // The client sees a truncated stream, never a valid frame.
+        let err = read_frame(&mut client, MAX_FRAME).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset
+            ),
+            "got {err:?}"
+        );
+        assert_eq!(server.net_fault_counts().unwrap().reset, 1);
+        // Only that socket died: the loop answers the next connection.
+        let mut next = TcpStream::connect(server.local_addr()).unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        next.write_all(&request(&Request::Stats)).unwrap();
+        assert!(matches!(answer(&mut next), Response::Stats(_)));
+        server.shutdown();
     }
 }

@@ -1,27 +1,29 @@
-//! The epoll readiness-loop backend (Linux only).
+//! The epoll readiness loops that serve every bdrmapd connection
+//! (Linux only).
 //!
-//! Shared-nothing event loops replace the blocking worker pool: each
-//! loop owns a private epoll instance, a slab of non-blocking
+//! Each loop owns a private epoll instance, a slab of non-blocking
 //! connections, and a hashed [`TimerWheel`] for deadlines. All loops
 //! register the *shared* listening socket level-triggered and accept
 //! until `EAGAIN` — an accept-and-dispatch shard without
 //! `SO_REUSEPORT`, so ephemeral-port test servers keep working
-//! unchanged. The policy contract is identical to the threads backend:
+//! unchanged. The serving contract:
 //!
 //! - **Shedding** at `workers + queue` open connections: one
-//!   `Overload` frame, then close (the same budget the pool enforces
-//!   with its bounded channel).
-//! - **Slow-loris eviction**: a partial frame schedules a wheel entry;
-//!   expiry re-validates against live state (lazy cancellation), so
-//!   idle connections own no timers and cost zero proto work.
-//! - **Flood/oversize eviction** per 4 KiB read chunk, exactly like
-//!   the blocking [`Conn`](crate::conn::Conn) extraction policy.
+//!   `Overload` frame, then close.
+//! - **Slow-loris eviction**: a partial frame arms a wheel entry and a
+//!   completed frame restarts the deadline; expiry re-validates against
+//!   live state (lazy cancellation), so idle connections own no timers
+//!   and cost zero proto work.
+//! - **Flood/oversize eviction** per 4 KiB read chunk, through
+//!   [`FrameBuf`](crate::conn::FrameBuf)'s caps.
+//! - Every eviction ends with a goodbye `Error` frame.
 //! - **Graceful drain**: on shutdown each loop answers the frames its
 //!   connections already delivered, flushes, and closes.
-//! - **Chaos rewiring**: `on_accept`/`on_frame`/`write_plan` charge at
-//!   the same deterministic events as the threads backend; scripted
-//!   panics kill the whole loop and the supervisor attributes the
-//!   restart via [`ChaosNet::scripted_fired`].
+//! - **Chaos**: `on_accept`/`on_frame`/`write_plan` charge at
+//!   deterministic events (an accept, a received frame, a response
+//!   write); scripted panics kill the whole loop and the supervisor
+//!   attributes the restart via
+//!   [`ChaosNet::scripted_fired`](crate::conn::ChaosNet::scripted_fired).
 //!
 //! Responses queue into per-connection out-buffers and flush with
 //! vectored `writev` bursts; `EPOLLOUT` interest is registered only
@@ -33,7 +35,7 @@
 use crate::conn::WritePlan;
 use crate::http;
 use crate::proto::{Request, Response};
-use crate::server::{handle, LoopMetrics, Shared, SUPERVISE_POLL};
+use crate::server::{handle, LoopMetrics, Shared};
 use crate::timer::TimerWheel;
 use bdrmap_core::V3View;
 use bdrmap_types::sys::{
@@ -52,6 +54,8 @@ use std::time::{Duration, Instant};
 
 /// Epoll wait bound; also the shutdown-notice and timer-advance cadence.
 const WAIT_MS: i32 = 25;
+/// How often the supervisor heartbeats its loops.
+const SUPERVISE_POLL: Duration = Duration::from_millis(20);
 /// Timer-wheel granularity.
 const WHEEL_TICK: Duration = Duration::from_millis(10);
 /// Timer-wheel slots (horizon = slots × tick = 2.56 s per revolution).
@@ -60,8 +64,8 @@ const WHEEL_SLOTS: usize = 256;
 const MAX_EVENTS: usize = 1024;
 /// Accepts per listener wakeup, so one flood can't starve served conns.
 const ACCEPT_BATCH: usize = 256;
-/// Read chunk size — matches the blocking backend so the per-chunk
-/// flood/oversize policy triggers at identical byte counts.
+/// Read chunk size. Frames are extracted after every chunk, so
+/// `max_inflight` caps the complete frames one chunk may carry.
 const READ_CHUNK: usize = 4096;
 /// Per-connection bytes per wakeup before yielding to other conns.
 const READ_SWEEP_MAX: usize = 256 * 1024;
@@ -85,11 +89,14 @@ fn split_token(tok: u64) -> (usize, u32) {
     ((tok & 0xffff_ffff) as usize, (tok >> 32) as u32)
 }
 
-/// Spawn `nloops` event loops and supervise them exactly like the
-/// threads backend's components: heartbeat, join the dead, respawn
-/// after a capped doubling backoff. A loop that died of a scripted
-/// chaos panic is attributed to the acceptor/worker restart counter it
-/// corresponds to, keeping the watchdog contract byte-compatible.
+/// Spawn `nloops` event loops and supervise them: heartbeat, join the
+/// dead (a panic, scripted or real), and respawn after a capped
+/// doubling backoff. A loop that died of a scripted chaos panic is
+/// attributed to the acceptor or worker restart counter of the crash
+/// that killed it; any other death counts as a worker restart. The
+/// snapshot store's rollback contract means a respawned loop always
+/// finds a servable view, so supervision never reasons about partial
+/// state.
 pub(crate) fn supervise_loops(
     shared: Arc<Shared>,
     listener: Arc<TcpListener>,
@@ -233,11 +240,15 @@ struct EConn {
     /// HTTP request head (metrics connections only).
     head: Vec<u8>,
     out: OutQueue,
-    /// When the oldest unanswered partial frame started arriving
-    /// (for HTTP: when the connection was accepted).
+    /// When the incomplete frame now buffered started arriving; reset
+    /// whenever a frame completes (for HTTP: when the connection was
+    /// accepted).
     partial_since: Option<Instant>,
     /// When the out-queue last became non-empty.
     write_since: Option<Instant>,
+    /// Due instant of the connection's authoritative wheel entry; see
+    /// [`arm`].
+    timer_at: Option<Instant>,
     /// Currently-registered epoll interest bits.
     interest: u32,
     /// Flush pending bytes, then close; reads are finished.
@@ -499,6 +510,7 @@ impl LoopState {
             out: OutQueue::default(),
             partial_since: None,
             write_since: None,
+            timer_at: None,
             interest: EPOLLIN | EPOLLRDHUP,
             closing: false,
             read_shut: false,
@@ -529,6 +541,7 @@ impl LoopState {
                     }
                     let fd = stream.as_raw_fd();
                     let now = Instant::now();
+                    let due = now + self.shared.limits.request_deadline;
                     let conn = EConn {
                         stream,
                         fd,
@@ -538,6 +551,9 @@ impl LoopState {
                         out: OutQueue::default(),
                         partial_since: Some(now),
                         write_since: None,
+                        // Scrapes get the request deadline too, so a
+                        // stalled scraper can't pin an fd forever.
+                        timer_at: Some(due),
                         interest: EPOLLIN | EPOLLRDHUP,
                         closing: false,
                         read_shut: false,
@@ -550,10 +566,7 @@ impl LoopState {
                         self.http_live -= 1;
                         continue;
                     }
-                    // Scrapes get the request deadline too, so a stalled
-                    // scraper can't pin an fd forever.
-                    self.wheel
-                        .schedule(now + self.shared.limits.request_deadline, tok);
+                    self.wheel.schedule(due, tok);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -674,6 +687,12 @@ impl LoopState {
             return; // lazily-cancelled: the conn is gone or reused
         };
         let now = Instant::now();
+        match conn.timer_at {
+            Some(due) if due <= now => conn.timer_at = None,
+            // A superseded entry: the authoritative one is still
+            // pending, or no deadline is.
+            _ => return,
+        }
         let (request_deadline, write_deadline) = deadlines;
         if conn.kind == ConnKind::Http {
             if let Some(t0) = conn.partial_since {
@@ -689,8 +708,12 @@ impl LoopState {
                 self.shared.metrics.evicted_slow.inc();
                 begin_eviction(conn, "request deadline exceeded");
                 conn.write_since = Some(now);
-                let due = now + write_deadline;
-                self.wheel.schedule(due, tok);
+                arm(
+                    &mut self.wheel,
+                    &mut conn.timer_at,
+                    tok,
+                    now + write_deadline,
+                );
                 let _ = flush_out(&self.lm, conn);
                 if conn.out.is_empty() {
                     self.close(idx);
@@ -702,8 +725,8 @@ impl LoopState {
         }
         if let Some(w0) = conn.write_since {
             if now >= w0 + write_deadline {
-                // Write-stalled peer: the blocking backend's write
-                // timeout would error here; close without ceremony.
+                // Write-stalled peer: its queued responses outlived the
+                // write deadline; close without ceremony.
                 self.close(idx);
                 return;
             }
@@ -718,16 +741,15 @@ impl LoopState {
         .flatten()
         .min();
         if let Some(due) = next {
-            self.wheel.schedule(due, tok);
+            arm(&mut self.wheel, &mut conn.timer_at, tok, due);
         }
     }
 
     // ---- graceful drain ----------------------------------------------
 
     /// Answer the frames every connection already delivered, flush, and
-    /// close. Mirrors the threads backend: requests buffered (or
-    /// already sitting in the kernel receive buffer) get answers; the
-    /// peer sees them before EOF.
+    /// close: requests buffered (or already sitting in the kernel
+    /// receive buffer) get answers, and the peer sees them before EOF.
     fn drain(&mut self) {
         let indices: Vec<usize> = (0..self.slab.entries.len())
             .filter(|&i| self.slab.entries[i].is_some())
@@ -781,6 +803,19 @@ impl LoopState {
     }
 }
 
+/// Make sure a wheel entry for `tok` fires by `due`. A connection keeps
+/// one authoritative entry, due at `*timer_at`: a later deadline waits
+/// for it (its expiry re-arms at the next pending deadline), and only
+/// an earlier one schedules a new entry, superseding the old. Without
+/// this, a connection that starts a deadline on every read would add an
+/// entry per read that re-arms itself on every expiry.
+fn arm(wheel: &mut TimerWheel, timer_at: &mut Option<Instant>, tok: u64, due: Instant) {
+    if timer_at.is_none_or(|t| due < t) {
+        wheel.schedule(due, tok);
+        *timer_at = Some(due);
+    }
+}
+
 // ---- per-connection state machines (free functions keep the borrows
 // of `LoopState`'s fields disjoint) -----------------------------------
 
@@ -808,10 +843,9 @@ fn proto_ready(
                 Ok(n) => {
                     lm.reads.inc();
                     conn.inbuf.push(&chunk[..n]);
-                    // Extract per chunk: the flood/oversize policy fires
-                    // at the same byte boundaries as the blocking
-                    // backend, and complete frames in one chunk decode
-                    // as one batch.
+                    // Extract per chunk: the flood cap counts the frames
+                    // one chunk carries, and complete frames in one
+                    // chunk decode as one batch.
                     match process_frames(shared, reader, lm, conn) {
                         Ok(()) => {}
                         Err(FrameFail::Evicted) => break,
@@ -832,7 +866,12 @@ fn proto_ready(
                 if conn.partial_since.is_none() {
                     let now = Instant::now();
                     conn.partial_since = Some(now);
-                    wheel.schedule(now + shared.limits.request_deadline, tok);
+                    arm(
+                        wheel,
+                        &mut conn.timer_at,
+                        tok,
+                        now + shared.limits.request_deadline,
+                    );
                 }
             } else {
                 conn.partial_since = None;
@@ -847,7 +886,12 @@ fn proto_ready(
     } else if conn.write_since.is_none() {
         let now = Instant::now();
         conn.write_since = Some(now);
-        wheel.schedule(now + shared.limits.write_deadline, tok);
+        arm(
+            wheel,
+            &mut conn.timer_at,
+            tok,
+            now + shared.limits.write_deadline,
+        );
     }
     if conn.read_shut && !conn.closing {
         if conn.inbuf.has_bytes() {
@@ -881,11 +925,14 @@ fn process_frames(
     if frames.is_empty() {
         return Ok(());
     }
+    // A completed frame met its deadline; bytes left over begin the
+    // next frame, whose deadline starts when the caller sees them.
+    conn.partial_since = None;
     lm.frames.add(frames.len() as u64);
     for payload in frames {
         if let Some(chaos) = &shared.chaos {
-            // One draw per received frame — the same deterministic
-            // event count the threads backend charges.
+            // One draw per received frame: a deterministic event
+            // count, unlike reads, whose number depends on timing.
             let action = chaos.on_frame();
             if action.panic {
                 // Scripted crash before any response: the query is
@@ -946,7 +993,7 @@ fn queue_response(shared: &Shared, conn: &mut EConn, payload: &[u8]) -> Result<(
 
 /// Queue the goodbye frame and stop reading; the connection closes once
 /// the flush lands (or its write deadline expires). Bypasses the chaos
-/// write plan, like the blocking backend's `evict`.
+/// write plan, so fault draws stay charged to answers only.
 fn begin_eviction(conn: &mut EConn, reason: &str) {
     let payload = Response::Error(reason.to_string()).encode();
     let mut frame = Vec::with_capacity(4 + payload.len());
@@ -954,6 +1001,9 @@ fn begin_eviction(conn: &mut EConn, reason: &str) {
     frame.extend_from_slice(&payload);
     conn.out.push(frame, false);
     conn.closing = true;
+    // Nothing more is read, so no request deadline applies; only the
+    // write deadline can close a peer that never drains the goodbye.
+    conn.partial_since = None;
 }
 
 /// Vectored flush: submit response bursts with `writev` until the
@@ -1030,4 +1080,27 @@ fn http_ready(shared: &Shared, conn: &mut EConn, bits: u32) -> Fate {
         return Fate::Close;
     }
     Fate::Keep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_connection_keeps_one_live_wheel_entry() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut wheel = TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS, t0);
+        let mut timer_at = None;
+        // A deadline restarted on every read: later dues reuse the entry.
+        for i in 0..100 {
+            arm(&mut wheel, &mut timer_at, 7, t0 + ms(300 + 30 * i));
+        }
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(timer_at, Some(t0 + ms(300)));
+        // An earlier deadline needs its own entry.
+        arm(&mut wheel, &mut timer_at, 7, t0 + ms(100));
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(timer_at, Some(t0 + ms(100)));
+    }
 }

@@ -4,17 +4,8 @@
 //! server optionally exposes its registry over the one HTTP exchange a
 //! scraper needs: `GET /metrics` → `200 text/plain`, everything else a
 //! terse error. One request per connection, `Connection: close`, no
-//! keep-alive — a scrape is a single round trip. The epoll backend
-//! serves these connections from loop 0's readiness loop; the threads
-//! backend runs [`polling_metrics_loop`] on a small dedicated thread so
-//! scrapes stay reachable even when every worker is pinned.
-
-use crate::server::Shared;
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
+//! keep-alive — a scrape is a single round trip. Event loop 0 serves
+//! these connections next to its protocol connections.
 
 /// Largest request head (request line + headers) we accept.
 pub(crate) const MAX_HEAD: usize = 8 * 1024;
@@ -54,43 +45,6 @@ pub(crate) fn respond(head: &[u8], render: impl FnOnce() -> String) -> Vec<u8> {
         return response("404 Not Found", "", "not found; try /metrics\n");
     }
     response("200 OK", "", &render())
-}
-
-/// Threads-backend `/metrics` server: a polling accept loop that serves
-/// one blocking scrape at a time. The listener must be non-blocking so
-/// the loop can notice shutdown between connections.
-pub(crate) fn polling_metrics_loop(shared: Arc<Shared>, listener: Arc<TcpListener>) {
-    const POLL: Duration = Duration::from_millis(25);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                let mut head = Vec::new();
-                let mut chunk = [0u8; 1024];
-                while !head_complete(&head) && head.len() < MAX_HEAD {
-                    match stream.read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(n) => head.extend_from_slice(&chunk[..n]),
-                        Err(_) => break,
-                    }
-                }
-                if head_complete(&head) {
-                    let out = respond(&head, || shared.metrics.registry.render());
-                    let _ = stream.write_all(&out);
-                }
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
 }
 
 #[cfg(test)]

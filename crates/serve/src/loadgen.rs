@@ -24,7 +24,7 @@
 //! - `stall_conns` opens connections that send two bytes of a frame
 //!   header and then go silent: textbook slow loris. The report counts
 //!   how many the server evicted, and the healthy connections' p99 in
-//!   the same run shows the stalls didn't steal their workers.
+//!   the same run shows the stalls didn't slow the loops serving them.
 
 use crate::proto::{Request, Response};
 use crate::server::Client;
@@ -504,7 +504,7 @@ pub fn run(addr: SocketAddr, queries: &[Request], cfg: &LoadgenConfig) -> io::Re
 //
 // The closed-loop generator above spends a thread per connection; at
 // tens of thousands of connections that is exactly the architecture the
-// epoll server backend exists to beat. The scale mode drives the same
+// server's epoll loops exist to avoid. The scale mode drives the same
 // protocol from a single epoll loop on the client side: a configurable
 // fraction of connections sit idle as keepalive ballast while the rest
 // run pipelined closed-loop queries.
@@ -562,8 +562,6 @@ pub struct ScaleLoopStat {
 /// Results of one scale-mode run.
 #[derive(Clone, Debug, Default)]
 pub struct ScaleReport {
-    /// Server backend the run targeted (caller-provided label).
-    pub backend: String,
     /// Connections requested.
     pub connections: usize,
     /// Connections running closed-loop queries.
@@ -631,13 +629,12 @@ impl ScaleReport {
             format!("[\n{loops}\n  ]")
         };
         format!(
-            "{{\n  \"bench\": \"serve_scale\",\n  \"schema\": 1,\n  \"backend\": \"{}\",\n  \
+            "{{\n  \"bench\": \"serve_scale\",\n  \"schema\": 1,\n  \
              \"connections\": {},\n  \"active_conns\": {},\n  \"idle_conns\": {},\n  \
              \"duration_s\": {:.3},\n  \"queries_ok\": {},\n  \"qps\": {:.1},\n  \
              \"p50_us\": {},\n  \"p99_us\": {},\n  \"p999_us\": {},\n  \"lost\": {},\n  \
              \"unadmitted\": {},\n  \"shed_conns\": {},\n  \"idle_evicted\": {},\n  \
              \"connect_failures\": {},\n  \"loops\": {}\n}}\n",
-            self.backend,
             self.connections,
             self.active_conns,
             self.idle_conns,
@@ -690,7 +687,7 @@ struct ScaleConn {
 /// then a grace window collects in-flight responses. The returned
 /// report distinguishes hard failures (acked-then-lost queries, evicted
 /// idle connections) from admission-control outcomes (shed, unadmitted)
-/// that are correct behaviour for an overloaded backend.
+/// that are correct behaviour for an overloaded server.
 #[cfg(target_os = "linux")]
 pub fn run_scale(
     addr: SocketAddr,
@@ -926,7 +923,6 @@ pub fn run_scale(
         .min(cfg.duration.as_secs_f64());
     latencies.sort_unstable();
     Ok(ScaleReport {
-        backend: String::new(),
         connections,
         active_conns: conns.iter().filter(|c| !c.idle).count(),
         idle_conns: conns.iter().filter(|c| c.idle).count(),
@@ -1083,7 +1079,6 @@ mod tests {
     #[test]
     fn scale_report_json_is_stable() {
         let report = ScaleReport {
-            backend: "epoll".to_string(),
             connections: 20000,
             active_conns: 10000,
             idle_conns: 10000,
@@ -1114,7 +1109,6 @@ mod tests {
         for key in [
             "\"bench\": \"serve_scale\"",
             "\"schema\": 1",
-            "\"backend\": \"epoll\"",
             "\"connections\": 20000",
             "\"active_conns\": 10000",
             "\"idle_conns\": 10000",

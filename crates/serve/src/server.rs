@@ -1,41 +1,42 @@
 //! bdrmapd: the query-serving daemon.
 //!
-//! A [`Server`] owns a TCP listener, a bounded accept queue, and a
-//! fixed pool of worker threads. Each worker serves one connection at a
-//! time, answering length-prefixed [`proto`](crate::proto) frames from
-//! an immutable [`V3View`] over BDRM v4 snapshot bytes. A server started
+//! A [`Server`] owns a TCP listener and `workers` epoll readiness loops
+//! (the `event` module), each multiplexing non-blocking connections and
+//! answering length-prefixed [`proto`](crate::proto) frames from an
+//! immutable [`V3View`] over BDRM v4 snapshot bytes. A server started
 //! from an in-process [`BorderMap`] encodes it as v4 first, so every
-//! server answers through the same view. When the accept queue is full
-//! the acceptor *sheds*: the connection gets a single `Overload` frame
-//! and is closed, so saturation degrades into fast rejections instead
-//! of unbounded queueing.
+//! server answers through the same view. Admission is bounded at
+//! `workers + queue` open connections: past it a new connection gets a
+//! single `Overload` frame and is closed, so saturation degrades into
+//! fast rejections instead of unbounded queueing.
 //!
-//! Snapshots are hot-swappable. A `Reload` control frame makes the
-//! handling worker read, verify and validate the next snapshot once
-//! and assemble its view — off the other workers' hot path — then
-//! publish it with an atomic pointer swap ([`SwapCell`]):
-//! readers that already loaded the old `Arc` finish their in-flight
-//! queries on it, and every later query sees the new snapshot. No
-//! reader ever takes a lock.
+//! Snapshots are hot-swappable. A `Reload` control frame makes the loop
+//! that received it read, verify and validate the next snapshot once
+//! and assemble its view, then publish it with an atomic pointer swap
+//! ([`SwapCell`]): readers that already loaded the old `Arc` finish
+//! their in-flight queries on it, and every later query sees the new
+//! snapshot. No reader ever takes a lock.
 //!
-//! Robustness layers (see [`conn`](crate::conn) and
-//! [`reload`](crate::reload)):
+//! Robustness layers (see the `event` module, [`conn`](crate::conn)
+//! and [`reload`](crate::reload)):
 //!
 //! - connections get request/write deadlines, a max-inflight-frames
 //!   cap, and slow-loris eviction; socket-setup failures are counted
-//!   and the connection refused rather than served without timeouts;
-//! - reloads retry with backoff, never panic the worker (validation and
+//!   and the connection refused;
+//! - reloads retry with backoff, never panic the loop (validation and
 //!   view assembly run under `catch_unwind`), and sit behind a circuit
 //!   breaker that pins the last-good snapshot after repeated failures;
 //! - a server may be started from a [`SnapStore`] directory, in which
 //!   case startup and store-reloads verify checksums and roll back
 //!   past corrupt generations automatically;
-//! - shutdown drains: workers finish the frames already buffered on
-//!   their connection, then close.
+//! - shutdown drains: each loop answers the frames its connections
+//!   already delivered, then closes them.
+//!
+//! Serving is Linux-only, like the [`bdrmap_types::sys`] syscall layer
+//! the loops run on; elsewhere every `Server::start*` returns
+//! [`io::ErrorKind::Unsupported`].
 
-use crate::conn::{
-    ChaosNet, ChaosNetConfig, Conn, ConnError, ConnEvent, ConnLimits, NetFaultCounts,
-};
+use crate::conn::{ChaosNet, ChaosNetConfig, ConnLimits, NetFaultCounts};
 use crate::proto::{HealthInfo, Request, Response, Stats};
 use crate::reload::Breaker;
 use bdrmap_core::{flat, snapshot, BorderMap, QueryRead, SnapStore, V3View};
@@ -47,80 +48,22 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a worker blocks on a quiet connection before checking the
-/// shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(200);
-
-/// How often the supervisor heartbeats its components.
-pub(crate) const SUPERVISE_POLL: Duration = Duration::from_millis(20);
-
-/// Which connection-handling engine a [`Server`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServerBackend {
-    /// The original fixed pool of blocking worker threads: one thread
-    /// serves one connection at a time, a bounded channel queues the
-    /// rest, and the acceptor sheds beyond it.
-    Threads,
-    /// Shared-nothing epoll readiness loops (Linux only): every loop
-    /// multiplexes thousands of non-blocking connections through
-    /// per-connection state machines, with a hashed timer wheel for
-    /// deadlines and vectored writes for response bursts.
-    Epoll,
-}
-
-impl Default for ServerBackend {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            ServerBackend::Epoll
-        } else {
-            ServerBackend::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for ServerBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(ServerBackend::Threads),
-            "epoll" => Ok(ServerBackend::Epoll),
-            other => Err(format!(
-                "unknown server backend {other:?} (expected threads|epoll)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ServerBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ServerBackend::Threads => "threads",
-            ServerBackend::Epoll => "epoll",
-        })
-    }
-}
 
 /// Server tunables.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Listen address; use port 0 for an ephemeral port.
     pub listen: String,
-    /// Connection-handling engine; defaults to epoll on Linux.
-    pub backend: ServerBackend,
     /// Optional plain-HTTP `GET /metrics` listener address (Prometheus
     /// text exposition); `None` disables it.
     pub metrics_addr: Option<String>,
-    /// Thread-pool size (threads backend) or event-loop count (epoll
-    /// backend).
+    /// Event-loop count.
     pub workers: usize,
-    /// Bounded accept-queue depth; connections beyond it are shed.
-    /// Under epoll the same number bounds *open* connections past the
-    /// worker/loop count, so both backends shed at `workers + queue`.
+    /// Open connections admitted past the loop count: the server sheds
+    /// every connection beyond `workers + queue` open ones.
     pub queue: usize,
     /// Coarse prefix-ownership layer built under every snapshot,
     /// including reloaded ones (typically the collector view's
@@ -129,7 +72,8 @@ pub struct ServeConfig {
     /// A started request frame must complete within this long
     /// (slow-loris eviction deadline).
     pub request_deadline: Duration,
-    /// Socket write timeout for responses.
+    /// How long a connection may hold unflushed response bytes before
+    /// it is closed.
     pub write_deadline: Duration,
     /// Max complete frames buffered from one connection at once.
     pub max_inflight: usize,
@@ -146,7 +90,7 @@ pub struct ServeConfig {
     /// Cap on the watchdog's doubling restart backoff.
     pub restart_backoff_cap: Duration,
     /// Server-side socket chaos (frame splitting, mid-write resets,
-    /// accept delays, stalls, scripted thread crashes). `None` in
+    /// accept delays, stalls, scripted loop crashes). `None` in
     /// production.
     pub chaos: Option<ChaosNetConfig>,
 }
@@ -155,7 +99,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             listen: "127.0.0.1:0".to_string(),
-            backend: ServerBackend::default(),
             metrics_addr: None,
             workers: 4,
             queue: 128,
@@ -177,7 +120,6 @@ impl Default for ServeConfig {
 impl ServeConfig {
     fn limits(&self) -> ConnLimits {
         ConnLimits {
-            poll: READ_POLL,
             request_deadline: self.request_deadline,
             write_deadline: self.write_deadline,
             max_inflight: self.max_inflight.max(1),
@@ -218,7 +160,8 @@ pub(crate) struct ServerMetrics {
     pub(crate) latency: [Histogram; 7],
     /// `bdrmapd_malformed_requests_total` — frames that failed decode.
     pub(crate) malformed: Counter,
-    /// `bdrmapd_sheds_total` — connections shed at the accept queue.
+    /// `bdrmapd_sheds_total` — connections shed past the admission
+    /// budget.
     pub(crate) sheds: Counter,
     /// `bdrmapd_evictions_total{cause=...}`.
     pub(crate) evicted_slow: Counter,
@@ -231,8 +174,10 @@ pub(crate) struct ServerMetrics {
     pub(crate) reload_failures: Counter,
     /// `bdrmapd_drained_total` — connections closed by graceful drain.
     pub(crate) drained: Counter,
-    /// `bdrmapd_watchdog_restarts_total{component=...}` — dead threads
-    /// the supervisor brought back: `[acceptor, worker]`.
+    /// `bdrmapd_watchdog_restarts_total{component=...}` — dead loops
+    /// the supervisor brought back, attributed `[acceptor, worker]` by
+    /// the scripted chaos crash that killed them (see
+    /// `event::supervise_loops`).
     pub(crate) watchdog_restarts: [Counter; 2],
     /// `bdrmapd_watchdog_heartbeats_total` — supervision ticks, proof
     /// the watchdog itself is alive.
@@ -361,7 +306,7 @@ struct ReloadInfo {
     swap_us: u64,
 }
 
-/// State shared by the acceptor, the workers/loops, and the handle.
+/// State shared by the event loops and the handle.
 pub(crate) struct Shared {
     pub(crate) cell: Arc<SwapCell<V3View>>,
     /// Reload accounting; see [`ReloadInfo`].
@@ -378,18 +323,16 @@ pub(crate) struct Shared {
     reload_attempts: u32,
     reload_backoff: Duration,
     pub(crate) metrics: ServerMetrics,
-    /// Socket-chaos schedule shared by the acceptor and every worker;
-    /// `None` in production.
+    /// Socket-chaos schedule shared by every loop; `None` in
+    /// production.
     pub(crate) chaos: Option<ChaosNet>,
-    /// Open proto connections across every event loop (epoll backend;
-    /// the threads backend bounds admission with its channel instead).
+    /// Open proto connections across every event loop.
     pub(crate) open_conns: std::sync::atomic::AtomicUsize,
-    /// Admission budget: connections past it are shed with one
-    /// `Overload` frame, matching the threads backend's
-    /// `workers + queue` capacity.
+    /// Admission budget (`workers + queue`): connections past it are
+    /// shed with one `Overload` frame.
     pub(crate) conn_budget: usize,
     /// Per-loop instruments, created up front so respawned loops keep
-    /// their series. Empty under the threads backend.
+    /// their series.
     pub(crate) loop_metrics: Vec<LoopMetrics>,
     /// Last acknowledged journal LSN of the watch loop feeding this
     /// server; 0 when no journal is attached.
@@ -454,13 +397,13 @@ impl Shared {
 }
 
 /// A running bdrmapd instance. Dropping the handle without calling
-/// [`shutdown`](Server::shutdown) leaves the threads serving until the
+/// [`shutdown`](Server::shutdown) leaves the loops serving until the
 /// process exits (daemon mode).
 ///
-/// The handle owns a single *supervisor* thread; the acceptor and the
-/// worker pool live under it. The supervisor heartbeats its components
-/// and restarts any that die, so a panicking thread degrades into a
-/// counted restart instead of a silently smaller server.
+/// The handle owns a single *supervisor* thread; the event loops live
+/// under it. The supervisor heartbeats the loops and restarts any that
+/// die, so a panicking loop degrades into a counted restart instead of
+/// a silently smaller server.
 pub struct Server {
     local_addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
@@ -523,10 +466,10 @@ impl Server {
         store: Option<SnapStore>,
         store_generation: u64,
     ) -> io::Result<Server> {
-        if cfg.backend == ServerBackend::Epoll && !cfg!(target_os = "linux") {
+        if !cfg!(target_os = "linux") {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "the epoll backend requires Linux; use --server-backend threads",
+                "bdrmapd serves through epoll and runs on Linux only",
             ));
         }
         let workers = cfg.workers.max(1);
@@ -537,13 +480,9 @@ impl Server {
             build_us: 0,
             swap_us: 0,
         }));
-        let loop_metrics = if cfg.backend == ServerBackend::Epoll {
-            (0..workers)
-                .map(|i| LoopMetrics::new(&metrics.registry, i))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let loop_metrics = (0..workers)
+            .map(|i| LoopMetrics::new(&metrics.registry, i))
+            .collect();
         let shared = Arc::new(Shared {
             cell,
             reload_info,
@@ -565,9 +504,14 @@ impl Server {
             recovered_batches: AtomicU64::new(0),
         });
         let listener = Arc::new(TcpListener::bind(&cfg.listen)?);
+        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let metrics_listener = match &cfg.metrics_addr {
-            Some(addr) => Some(Arc::new(TcpListener::bind(addr)?)),
+            Some(addr) => {
+                let ml = TcpListener::bind(addr)?;
+                ml.set_nonblocking(true)?;
+                Some(Arc::new(ml))
+            }
             None => None,
         };
         let metrics_addr = match &metrics_listener {
@@ -576,45 +520,23 @@ impl Server {
         };
         let backoff = cfg.restart_backoff.max(Duration::from_millis(1));
         let cap = cfg.restart_backoff_cap.max(backoff);
-        let supervisor = match cfg.backend {
-            ServerBackend::Threads => {
-                let (tx, rx) = sync_channel::<TcpStream>(cfg.queue.max(1));
-                let rx = Arc::new(Mutex::new(rx));
-                if let Some(ml) = metrics_listener {
-                    // A small polling thread scrapes independently of
-                    // the worker pool, so `/metrics` stays reachable
-                    // even when every worker is pinned.
-                    ml.set_nonblocking(true)?;
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || crate::http::polling_metrics_loop(shared, ml));
-                }
-                let shared = Arc::clone(&shared);
+        let supervisor = {
+            let shared = Arc::clone(&shared);
+            #[cfg(target_os = "linux")]
+            {
                 std::thread::spawn(move || {
-                    supervise(shared, listener, tx, rx, workers, backoff, cap)
+                    crate::event::supervise_loops(
+                        shared,
+                        listener,
+                        metrics_listener,
+                        workers,
+                        backoff,
+                        cap,
+                    )
                 })
             }
-            ServerBackend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    listener.set_nonblocking(true)?;
-                    if let Some(ml) = &metrics_listener {
-                        ml.set_nonblocking(true)?;
-                    }
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        crate::event::supervise_loops(
-                            shared,
-                            listener,
-                            metrics_listener,
-                            workers,
-                            backoff,
-                            cap,
-                        )
-                    })
-                }
-                #[cfg(not(target_os = "linux"))]
-                unreachable!("epoll backend rejected above on non-Linux")
-            }
+            #[cfg(not(target_os = "linux"))]
+            unreachable!("returned Unsupported above off Linux")
         };
         Ok(Server {
             local_addr,
@@ -634,7 +556,7 @@ impl Server {
         self.metrics_addr
     }
 
-    /// Per-event-loop counters (empty under the threads backend).
+    /// Per-event-loop counters.
     pub fn loop_stats(&self) -> Vec<LoopStat> {
         self.shared
             .loop_metrics
@@ -713,225 +635,16 @@ impl Server {
         }
     }
 
-    /// Stop accepting, drain the workers, and join every thread.
-    /// In-flight connections finish the frames they have buffered,
+    /// Stop accepting, drain the loops, and join every thread. Each
+    /// loop sees the stop flag within one `epoll_wait` bound; its
+    /// connections get answers to the frames they already delivered,
     /// then close.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor out of its blocking accept; the supervisor
-        // joins it and the workers before exiting.
-        let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
         }
     }
-}
-
-/// Run the acceptor and the worker pool under a watchdog: heartbeat
-/// every component, join any that died (a panic, scripted or real), and
-/// respawn it after a capped doubling backoff. Restarts are counted per
-/// component in the metric registry; the snapshot store's rollback
-/// contract means a restarted component always finds a servable index,
-/// so supervision never has to reason about partial state.
-fn supervise(
-    shared: Arc<Shared>,
-    listener: Arc<TcpListener>,
-    tx: SyncSender<TcpStream>,
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
-    worker_count: usize,
-    backoff0: Duration,
-    backoff_cap: Duration,
-) {
-    let spawn_acceptor = |shared: &Arc<Shared>, tx: SyncSender<TcpStream>| {
-        let shared = Arc::clone(shared);
-        let listener = Arc::clone(&listener);
-        std::thread::spawn(move || accept_loop(shared, listener, tx))
-    };
-    let spawn_worker = |shared: &Arc<Shared>| {
-        let reader = SwapCell::reader(&shared.cell);
-        let shared = Arc::clone(shared);
-        let rx = Arc::clone(&rx);
-        std::thread::spawn(move || worker_loop(shared, reader, rx))
-    };
-    // The supervisor — not the acceptor — owns `tx`: an acceptor panic
-    // must not drop the last sender, or every idle worker would see a
-    // disconnected queue and exit right when we want to restart one
-    // thread, not the whole pool.
-    let mut acceptor = spawn_acceptor(&shared, tx.clone());
-    let mut workers: Vec<JoinHandle<()>> =
-        (0..worker_count).map(|_| spawn_worker(&shared)).collect();
-    let mut acceptor_backoff = backoff0;
-    let mut worker_backoff = backoff0;
-    while !shared.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(SUPERVISE_POLL);
-        shared.metrics.watchdog_heartbeats.inc();
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if acceptor.is_finished() {
-            let _ = acceptor.join();
-            shared.metrics.watchdog_restarts[0].inc();
-            std::thread::sleep(acceptor_backoff);
-            acceptor_backoff = (acceptor_backoff * 2).min(backoff_cap);
-            acceptor = spawn_acceptor(&shared, tx.clone());
-        }
-        for slot in workers.iter_mut() {
-            if slot.is_finished() && !shared.stop.load(Ordering::SeqCst) {
-                shared.metrics.watchdog_restarts[1].inc();
-                std::thread::sleep(worker_backoff);
-                worker_backoff = (worker_backoff * 2).min(backoff_cap);
-                let dead = std::mem::replace(slot, spawn_worker(&shared));
-                let _ = dead.join();
-            }
-        }
-    }
-    // Shutdown: the acceptor was woken by the handle's connect; join
-    // it, then drop the last sender so idle workers drain and exit.
-    let _ = acceptor.join();
-    drop(tx);
-    for h in workers {
-        let _ = h.join();
-    }
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: Arc<TcpListener>, tx: SyncSender<TcpStream>) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok((stream, _)) = listener.accept() else {
-            // Usually fd exhaustion (EMFILE): accept keeps failing
-            // instantly while the backlog is non-empty, so a bare
-            // `continue` would spin the acceptor at 100% CPU.
-            std::thread::sleep(Duration::from_millis(25));
-            continue;
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Some(chaos) = &shared.chaos {
-            let action = chaos.on_accept();
-            if action.panic {
-                // Scripted crash: the supervisor must notice, count,
-                // and respawn this thread. The accepted connection is
-                // dropped un-acked, so clients retry it.
-                panic!("chaos: scripted acceptor crash");
-            }
-            if let Some(d) = action.delay {
-                std::thread::sleep(d);
-            }
-        }
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                // Overload shedding: one frame, then close.
-                shared.metrics.sheds.inc();
-                let _ = write_frame(&mut stream, &Response::Overload.encode());
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn worker_loop(
-    shared: Arc<Shared>,
-    reader: SwapReader<V3View>,
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
-) {
-    loop {
-        // Take the next queued connection; the lock is only held for
-        // the dequeue itself.
-        let conn = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(READ_POLL)
-        };
-        match conn {
-            Ok(stream) => serve_conn(&shared, &reader, stream),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// Serve one connection until the peer closes it, a robustness policy
-/// evicts it, or shutdown drains it.
-fn serve_conn(shared: &Shared, reader: &SwapReader<V3View>, stream: TcpStream) {
-    let mut conn = match Conn::new(stream, shared.limits, shared.chaos.clone()) {
-        Ok(conn) => conn,
-        Err(_) => {
-            // A socket we cannot arm timeouts on could pin this worker
-            // forever; refuse it and account for the refusal.
-            shared.metrics.setup_errors.inc();
-            return;
-        }
-    };
-    loop {
-        match conn.next_event() {
-            Ok(ConnEvent::Frames(frames)) => {
-                for payload in frames {
-                    // Chaos charges one draw per *received frame* — a
-                    // deterministic event count, unlike read polls.
-                    if let Some(chaos) = &shared.chaos {
-                        let action = chaos.on_frame();
-                        if action.panic {
-                            // Scripted crash before any response: the
-                            // query is un-acked, the client retries,
-                            // the supervisor respawns this worker.
-                            panic!("chaos: scripted worker crash");
-                        }
-                        if let Some(d) = action.stall {
-                            std::thread::sleep(d);
-                        }
-                    }
-                    let response = match Request::decode(&payload) {
-                        Ok(req) => handle(shared, reader, req),
-                        Err(e) => {
-                            shared.metrics.malformed.inc();
-                            Response::Error(format!("malformed request: {e}"))
-                        }
-                    };
-                    if conn.send(&response.encode()).is_err() {
-                        return;
-                    }
-                }
-                // Graceful drain: requests already buffered were
-                // answered above; stop before reading more.
-                if shared.stop.load(Ordering::SeqCst) {
-                    shared.metrics.drained.inc();
-                    return;
-                }
-            }
-            Ok(ConnEvent::Idle) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    shared.metrics.drained.inc();
-                    return;
-                }
-            }
-            Ok(ConnEvent::Closed) => return,
-            Err(ConnError::SlowLoris) => {
-                shared.metrics.evicted_slow.inc();
-                evict(&mut conn, "request deadline exceeded");
-                return;
-            }
-            Err(ConnError::Flood) | Err(ConnError::Oversize(_)) => {
-                shared.metrics.evicted_flood.inc();
-                evict(&mut conn, "frame limits exceeded");
-                return;
-            }
-            Err(ConnError::MidFrameEof) | Err(ConnError::Io(_)) | Err(ConnError::Setup(_)) => {
-                return;
-            }
-        }
-    }
-}
-
-/// Best-effort goodbye frame before closing an evicted connection.
-fn evict(conn: &mut Conn, reason: &str) {
-    let _ = write_frame(conn.stream(), &Response::Error(reason.to_string()).encode());
 }
 
 /// Count, time, and dispatch one well-formed request. Every opcode —
@@ -949,7 +662,7 @@ pub(crate) fn handle(shared: &Shared, reader: &SwapReader<V3View>, req: Request)
 }
 
 /// The pure data-plane answer for a query request against one index:
-/// exactly what a worker would serve, minus the transport. `None` for
+/// exactly what a loop would serve, minus the transport. `None` for
 /// control-plane requests. Generic over [`QueryRead`], so the served
 /// [`V3View`] and the heap [`QueryIndex`](bdrmap_core::QueryIndex)
 /// reference go through the same code — the chaos harness and the
@@ -1001,9 +714,9 @@ enum ReloadSource<'a> {
 }
 
 /// Open the next view and publish it, behind the circuit breaker and a
-/// bounded retry loop. Runs on the worker that received the control
-/// frame, so the other workers keep serving the old snapshot until the
-/// swap lands.
+/// bounded retry loop. Runs on the loop that received the control
+/// frame; the other loops keep serving the old snapshot until the swap
+/// lands.
 fn reload(shared: &Shared, path: &str) -> Response {
     let source = if path.is_empty() {
         if shared.store.is_none() {
@@ -1056,8 +769,8 @@ fn reload_once(shared: &Shared, source: &ReloadSource<'_>) -> Result<Response, S
     // is assembled from. The store does both inside `load_verified`
     // (rolling back past bad generations); a file is checked here.
     // Validation runs under `catch_unwind`: a panicking pass must not
-    // kill the worker thread; the old view stays live and the reload
-    // counts as a failed attempt.
+    // kill the loop; the old view stays live and the reload counts as a
+    // failed attempt.
     let validation_panicked = |_| "snapshot validation panicked".to_string();
     let (bytes, layout, proof, store_gen) = match source {
         ReloadSource::File(path) => {

@@ -1,11 +1,10 @@
 //! A hashed timer wheel for connection deadlines.
 //!
-//! The blocking backend checks deadlines on every read wakeup, which
-//! costs a clock read per poll per connection even when nothing is
-//! pending. The event backend instead registers a deadline only when a
-//! connection actually starts one (a partial frame, a pending write)
-//! and lets the wheel say *which* connections to look at when a tick
-//! elapses. Idle connections own no wheel entries and cost nothing.
+//! An event loop registers a deadline only when a connection actually
+//! starts one (a partial frame, a pending write) and lets the wheel say
+//! *which* connections to look at when a tick elapses, instead of
+//! polling every connection's clock. Idle connections own no wheel
+//! entries and cost nothing.
 //!
 //! Cancellation is **lazy**: entries are never removed early. When one
 //! expires the owner re-validates against the connection's live state

@@ -11,6 +11,9 @@
 //!    never correctness.
 //! 3. **Determinism**: the same seed and the same client behaviour
 //!    inject the same fault counts, run to run.
+//!
+//! bdrmapd serves on Linux only.
+#![cfg(target_os = "linux")]
 
 use bdrmap_core::{BdrmapConfig, BorderMap, QueryIndex};
 use bdrmap_eval::Scenario;
@@ -46,7 +49,7 @@ fn sweep_requests(map: &BorderMap) -> Vec<Request> {
     reqs
 }
 
-/// One request with retries: injected resets, crashed workers, and
+/// One request with retries: injected resets, crashed loops, and
 /// overload sheds cost another attempt on a fresh connection, never a
 /// wrong answer.
 fn call_retry(addr: &SocketAddr, req: &Request, attempts: usize) -> Response {
@@ -156,11 +159,12 @@ fn verified_sweep_under_socket_chaos() {
         let expected = answer(&reference, req).expect("sweep sends only query requests");
         assert_eq!(served, expected, "fault corrupted the answer for {req:?}");
     }
+    // Both write plans must have fired, or the sweep proved nothing
+    // about them: a split response still reassembles into one frame,
+    // and a reset one never decodes as an answer.
     let counts = server.net_fault_counts().expect("chaos was configured");
-    assert!(
-        counts.split + counts.reset > 0,
-        "no write fault injected — the sweep proved nothing: {counts:?}"
-    );
+    assert!(counts.split > 0, "no split write injected: {counts:?}");
+    assert!(counts.reset > 0, "no mid-write reset injected: {counts:?}");
 
     // Quiesced, a re-sweep completes first-try on one connection.
     server.quiesce_chaos();

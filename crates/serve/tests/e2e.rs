@@ -4,14 +4,15 @@
 //! round-trips correctly against the border map the daemon is serving,
 //! (2) a hot snapshot swap under sustained load loses zero in-flight
 //! queries and post-swap answers reflect the new snapshot, and (3) a
-//! saturated accept queue sheds with `Overload` instead of queueing
-//! without bound.
+//! saturated admission budget sheds with `Overload` instead of
+//! queueing without bound. bdrmapd serves on Linux only.
+#![cfg(target_os = "linux")]
 
 use bdrmap_core::{snapshot, BdrmapConfig, BorderMap, QueryIndex, QueryRead};
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{
     loadgen, queries_for_map, Client, LinkInfo, LoadgenConfig, Request, Response, ServeConfig,
-    Server, ServerBackend,
+    Server,
 };
 use bdrmap_topo::TopoConfig;
 use bdrmap_types::wire::{read_frame, MAX_FRAME};
@@ -22,22 +23,12 @@ fn infer(seed: u64, vp: usize) -> BorderMap {
     sc.run_vp(vp, &BdrmapConfig::default())
 }
 
-/// Both backends must pass every acceptance experiment in this file.
-fn backends() -> Vec<ServerBackend> {
-    let mut v = vec![ServerBackend::Threads];
-    if cfg!(target_os = "linux") {
-        v.push(ServerBackend::Epoll);
-    }
-    v
-}
-
-fn start(map: &BorderMap, workers: usize, queue: usize, backend: ServerBackend) -> Server {
+fn start(map: &BorderMap, workers: usize, queue: usize) -> Server {
     Server::start(
         map,
         ServeConfig {
             workers,
             queue,
-            backend,
             ..ServeConfig::default()
         },
     )
@@ -48,16 +39,10 @@ fn start(map: &BorderMap, workers: usize, queue: usize, backend: ServerBackend) 
 /// answer equals what the in-process index computes.
 #[test]
 fn serves_all_three_query_kinds_correctly() {
-    for backend in backends() {
-        serves_all_three_query_kinds_correctly_impl(backend);
-    }
-}
-
-fn serves_all_three_query_kinds_correctly_impl(backend: ServerBackend) {
     let map = infer(61, 0);
     assert!(!map.links.is_empty(), "tiny scenario must infer links");
     let reference = QueryIndex::build(&map);
-    let server = start(&map, 2, 16, backend);
+    let server = start(&map, 2, 16);
     let mut client = Client::connect(&server.local_addr()).unwrap();
 
     // Owner-of-address over every router interface in the map.
@@ -139,12 +124,6 @@ fn serves_all_three_query_kinds_correctly_impl(backend: ServerBackend) {
 /// in-flight query, and post-swap responses reflect the new snapshot.
 #[test]
 fn hot_swap_under_load_loses_no_queries() {
-    for backend in backends() {
-        hot_swap_under_load_loses_no_queries_impl(backend);
-    }
-}
-
-fn hot_swap_under_load_loses_no_queries_impl(backend: ServerBackend) {
     let map_a = infer(61, 0);
     let map_b = infer(61, 1);
     let dir = std::env::temp_dir().join("bdrmap-serve-e2e");
@@ -152,7 +131,7 @@ fn hot_swap_under_load_loses_no_queries_impl(backend: ServerBackend) {
     let snap_b = dir.join("map-b.bdrm");
     snapshot::save(&snap_b, &map_b).unwrap();
 
-    let server = start(&map_a, 4, 64, backend);
+    let server = start(&map_a, 4, 64);
     let queries = queries_for_map(&map_a);
     let report = loadgen::run(
         server.local_addr(),
@@ -199,20 +178,15 @@ fn hot_swap_under_load_loses_no_queries_impl(backend: ServerBackend) {
     std::fs::remove_file(&snap_b).ok();
 }
 
-/// With one worker and a one-deep queue, extra connections are shed
+/// With one loop and a one-deep queue (a budget of two open
+/// connections), extra connections are shed
 /// with a single `Overload` frame instead of piling up.
 #[test]
 fn saturated_accept_queue_sheds_overload() {
-    for backend in backends() {
-        saturated_accept_queue_sheds_overload_impl(backend);
-    }
-}
-
-fn saturated_accept_queue_sheds_overload_impl(backend: ServerBackend) {
     let map = infer(61, 0);
-    let server = start(&map, 1, 1, backend);
+    let server = start(&map, 1, 1);
 
-    // Occupy the only worker: a connection is held for its lifetime.
+    // Hold one budget slot for the whole test.
     let mut busy = Client::connect(&server.local_addr()).unwrap();
     let addr = map.routers[0]
         .addrs
@@ -221,13 +195,13 @@ fn saturated_accept_queue_sheds_overload_impl(backend: ServerBackend) {
         .unwrap_or_else(|| "203.0.113.1".parse().unwrap());
     busy.call(&Request::Owner(addr)).unwrap();
 
-    // Flood: one connection fits the queue; later ones must be shed.
+    // Flood: one connection fits the budget; later ones must be shed.
     let mut sheds = 0;
     let mut extras = Vec::new();
     for _ in 0..8 {
         let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        // Shed frames arrive immediately; a queued connection just
-        // times out here and is kept open to hold its queue slot.
+        // Shed frames arrive immediately; an admitted connection just
+        // times out here and is kept open to hold its budget slot.
         stream
             .set_read_timeout(Some(Duration::from_millis(300)))
             .unwrap();
@@ -236,12 +210,12 @@ fn saturated_accept_queue_sheds_overload_impl(backend: ServerBackend) {
                 assert_eq!(Response::decode(&payload).unwrap(), Response::Overload);
                 sheds += 1;
             }
-            // Queued (no frame yet) — keep the socket open so the queue
+            // Admitted (no frame yet) — keep the socket open so the budget
             // stays full for the rest of the flood.
             _ => extras.push(stream),
         }
     }
-    assert!(sheds > 0, "no connection was shed at the accept queue");
+    assert!(sheds > 0, "no connection was shed past the budget");
     assert!(server.stats().sheds >= sheds);
 
     // The busy connection still works: shedding is per-connection, not
@@ -279,14 +253,8 @@ fn scrape(text: &str, name: &str, labels: &str) -> u64 {
 /// frame shows up under its own opcode in `bdrmapd_requests_total`.
 #[test]
 fn stats_polling_neither_distorts_nor_vanishes() {
-    for backend in backends() {
-        stats_polling_neither_distorts_nor_vanishes_impl(backend);
-    }
-}
-
-fn stats_polling_neither_distorts_nor_vanishes_impl(backend: ServerBackend) {
     let map = infer(61, 0);
-    let server = start(&map, 2, 16, backend);
+    let server = start(&map, 2, 16);
     let mut client = Client::connect(&server.local_addr()).unwrap();
 
     let addr = map.routers[0]
@@ -358,12 +326,6 @@ fn stats_polling_neither_distorts_nor_vanishes_impl(backend: ServerBackend) {
 /// one returned by some `Reloaded` response.
 #[test]
 fn concurrent_reloads_never_tear_the_stats_triple() {
-    for backend in backends() {
-        concurrent_reloads_never_tear_the_stats_triple_impl(backend);
-    }
-}
-
-fn concurrent_reloads_never_tear_the_stats_triple_impl(backend: ServerBackend) {
     let map = infer(61, 0);
     let map_b = infer(61, 1);
     let dir = std::env::temp_dir().join("bdrmap-serve-e2e-tear");
@@ -371,7 +333,7 @@ fn concurrent_reloads_never_tear_the_stats_triple_impl(backend: ServerBackend) {
     let snap = dir.join("map-b.bdrm");
     snapshot::save(&snap, &map_b).unwrap();
 
-    let server = start(&map, 4, 64, backend);
+    let server = start(&map, 4, 64);
     let addr = server.local_addr();
     let path = snap.display().to_string();
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -1,18 +1,18 @@
-//! Epoll-backend-specific behaviour: readiness-loop half-close
-//! handling, the idle-costs-nothing guarantee, and the plain-HTTP
-//! metrics endpoint. Everything here runs on Linux only — the backend
-//! does not exist elsewhere.
+//! Readiness-loop behaviour: request deadlines (stalls, drip feeds,
+//! and frames that keep ending mid-frame), half-close and mid-frame
+//! EOF handling, the idle-costs-nothing guarantee, admission, and the
+//! plain-HTTP metrics endpoint. bdrmapd serves on Linux only.
 #![cfg(target_os = "linux")]
 
 use bdrmap_core::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 use bdrmap_serve::proto::{Request, Response, Stats};
-use bdrmap_serve::{
-    loadgen, queries_for_map, Client, ScaleConfig, ServeConfig, Server, ServerBackend,
-};
+use bdrmap_serve::{loadgen, queries_for_map, Client, ScaleConfig, ServeConfig, Server};
 use bdrmap_types::wire::{read_frame, write_frame};
 use bdrmap_types::{addr, Asn};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn map(salt: u32) -> BorderMap {
@@ -48,15 +48,14 @@ fn map(salt: u32) -> BorderMap {
 }
 
 fn epoll_server(cfg: ServeConfig) -> Server {
-    let m = map(1);
-    Server::start(
-        &m,
-        ServeConfig {
-            backend: ServerBackend::Epoll,
-            ..cfg
-        },
-    )
-    .unwrap()
+    Server::start(&map(1), cfg).unwrap()
+}
+
+/// `payload` behind its big-endian length prefix.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut v = (payload.len() as u32).to_be_bytes().to_vec();
+    v.extend_from_slice(payload);
+    v
 }
 
 fn stats(server: &Server) -> Stats {
@@ -103,6 +102,173 @@ fn stalled_connection_is_evicted_by_the_wheel() {
     }
     assert!(evicted, "stalled connection survived past its deadline");
     assert_eq!(stats(&server).evicted_slow, 1);
+    server.shutdown();
+}
+
+/// The deadline covers one frame, not the connection: a client whose
+/// every write completes one frame and starts the next keeps a partial
+/// frame buffered at all times, yet each frame completes well within
+/// the deadline, so it is never evicted as a slow loris.
+#[test]
+fn deadline_restarts_when_a_frame_completes() {
+    let deadline = Duration::from_millis(300);
+    let server = epoll_server(ServeConfig {
+        workers: 1,
+        request_deadline: deadline,
+        ..ServeConfig::default()
+    });
+    let owner = frame(&queries_for_map(&map(1))[0].encode());
+    assert_eq!(owner.len(), 9, "an Owner frame is 9 bytes on the wire");
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&owner[..4]).unwrap();
+    // Every 30 ms for four deadlines: the rest of one frame, then the
+    // first four bytes of the next.
+    let rounds = (4 * deadline.as_millis() / 30) as usize;
+    let mut step = owner[4..].to_vec();
+    step.extend_from_slice(&owner[..4]);
+    for round in 0..rounds {
+        std::thread::sleep(Duration::from_millis(30));
+        stream.write_all(&step).unwrap();
+        let payload = read_frame(&mut stream, 1 << 20)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"))
+            .unwrap_or_else(|| panic!("round {round}: server closed"));
+        let resp = Response::decode(&payload).unwrap();
+        assert!(
+            matches!(resp, Response::Owner(_)),
+            "round {round} of {rounds} answered with {resp:?}"
+        );
+    }
+    assert_eq!(server.stats().evicted_slow, 0);
+    server.shutdown();
+}
+
+/// A frame that never completes cannot buy time by trickling bytes: fed
+/// one byte every 15 ms for three seconds, it still dies by the request
+/// deadline, timed from its first byte, long before the drip ends.
+#[test]
+fn drip_fed_frame_is_evicted_by_the_deadline() {
+    let deadline = Duration::from_millis(200);
+    let server = epoll_server(ServeConfig {
+        workers: 1,
+        request_deadline: deadline,
+        ..ServeConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    // A 256-byte frame of which at most 196 payload bytes are ever sent.
+    let mut drip = vec![0u8, 0, 1, 0];
+    drip.resize(200, 0xAB);
+    let start = Instant::now();
+    let closed = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let mut stream = stream.try_clone().unwrap();
+        let closed = Arc::clone(&closed);
+        std::thread::spawn(move || {
+            for b in drip {
+                if closed.load(Ordering::SeqCst) || stream.write_all(&[b]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(15));
+            }
+        })
+    };
+    let mut received = Vec::new();
+    let mut buf = [0u8; 64];
+    while start.elapsed() < Duration::from_secs(5) {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => received.extend_from_slice(&buf[..n]),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(_) => break, // a reset after the close
+        }
+    }
+    let evicted_after = start.elapsed();
+    closed.store(true, Ordering::SeqCst);
+    writer.join().unwrap();
+    assert!(
+        evicted_after >= deadline && evicted_after < 10 * deadline,
+        "drip feed closed after {evicted_after:?}"
+    );
+    if !received.is_empty() {
+        let goodbye = read_frame(&mut received.as_slice(), 1 << 20)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            Response::decode(&goodbye).unwrap(),
+            Response::Error("request deadline exceeded".to_string())
+        );
+    }
+    assert_eq!(server.stats().evicted_slow, 1);
+    server.shutdown();
+}
+
+/// A slow loris that also never reads is evicted once. Its goodbye
+/// queues behind answers the peer will not drain, so the write
+/// deadline, not a second request-deadline eviction, closes it.
+#[test]
+fn unread_slow_loris_is_evicted_once() {
+    let (request_deadline, write_deadline) =
+        (Duration::from_millis(200), Duration::from_millis(300));
+    let server = epoll_server(ServeConfig {
+        workers: 1,
+        max_inflight: 4096,
+        request_deadline,
+        write_deadline,
+        ..ServeConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    // Each Metrics answer is kilobytes long; 2000 unread ones overflow
+    // both socket buffers, so the rest queue inside the loop.
+    let metrics = frame(&Request::Metrics.encode());
+    let mut burst = metrics.repeat(2000);
+    burst.extend_from_slice(&[0, 0]); // then half a length prefix
+    stream.write_all(&burst).unwrap();
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while server.stats().evicted_slow == 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Two more write deadlines: long enough to close it, and for a
+    // re-eviction to show.
+    std::thread::sleep(2 * write_deadline);
+    assert_eq!(server.stats().evicted_slow, 1);
+    drop(stream);
+    server.shutdown();
+}
+
+/// EOF in the middle of a frame: the complete frame before it is
+/// answered, then the server closes with nothing further, and the
+/// truncated frame counts as neither eviction.
+#[test]
+fn mid_frame_eof_answers_complete_frames_then_closes() {
+    let server = epoll_server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let owner = frame(&queries_for_map(&map(1))[0].encode());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&frame(&Request::Stats.encode())).unwrap();
+    stream.write_all(&owner[..5]).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let payload = read_frame(&mut stream, 1 << 20).unwrap().unwrap();
+    assert!(matches!(
+        Response::decode(&payload).unwrap(),
+        Response::Stats(_)
+    ));
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "unexpected trailing bytes: {rest:?}");
+    let after = server.stats();
+    assert_eq!((after.evicted_slow, after.evicted_flood), (0, 0));
     server.shutdown();
 }
 
@@ -190,7 +356,7 @@ fn idle_connections_cost_zero_proto_work() {
 }
 
 /// Admission control: opening more connections than `workers + queue`
-/// gets the surplus an Overload frame, same as the threads backend.
+/// gets the surplus an Overload frame.
 #[test]
 fn connections_past_the_budget_are_shed() {
     let server = epoll_server(ServeConfig {
@@ -218,7 +384,7 @@ fn connections_past_the_budget_are_shed() {
 }
 
 /// Scale-mode loadgen smoke: a few hundred connections (half idle
-/// ballast, half pipelined) against the epoll backend, with the hard
+/// ballast, half pipelined) against the loops, with the hard
 /// invariants the big benchmark enforces — no acked query lost, no
 /// idle connection evicted.
 #[test]

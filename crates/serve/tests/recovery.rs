@@ -1,12 +1,13 @@
 //! Crash-safety acceptance tests: the server must come up — and stay
 //! up — when the newest snapshot is corrupt, when reloads fail
 //! repeatedly, and when clients stall or flood their connections.
+//! bdrmapd serves on Linux only.
+#![cfg(target_os = "linux")]
 
 use bdrmap_core::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 use bdrmap_core::SnapStore;
 use bdrmap_serve::{
     loadgen, queries_for_map, Client, LoadgenConfig, Request, Response, ServeConfig, Server,
-    ServerBackend,
 };
 use bdrmap_types::wire::{read_frame, write_frame, MAX_FRAME};
 use bdrmap_types::{addr, Asn};
@@ -55,18 +56,8 @@ fn temp_store(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every crash-safety property must hold on both backends.
-fn backends() -> Vec<ServerBackend> {
-    let mut v = vec![ServerBackend::Threads];
-    if cfg!(target_os = "linux") {
-        v.push(ServerBackend::Epoll);
-    }
-    v
-}
-
-fn fast_cfg(backend: ServerBackend) -> ServeConfig {
+fn fast_cfg() -> ServeConfig {
     ServeConfig {
-        backend,
         workers: 2,
         queue: 16,
         reload_attempts: 1,
@@ -104,13 +95,7 @@ fn health(server: &Server) -> bdrmap_serve::HealthInfo {
 /// store-reload re-advances the generation with the breaker closed.
 #[test]
 fn bitflip_rolls_back_then_good_reload_readvances() {
-    for backend in backends() {
-        bitflip_rolls_back_then_good_reload_readvances_impl(backend);
-    }
-}
-
-fn bitflip_rolls_back_then_good_reload_readvances_impl(backend: ServerBackend) {
-    let dir = temp_store(&format!("bitflip-{backend}"));
+    let dir = temp_store("bitflip");
     let store = SnapStore::open(&dir).unwrap();
     assert_eq!(store.publish(&map(1)).unwrap(), 1);
     assert_eq!(store.publish(&map(2)).unwrap(), 2);
@@ -122,7 +107,7 @@ fn bitflip_rolls_back_then_good_reload_readvances_impl(backend: ServerBackend) {
     bytes[mid] ^= 0x10;
     std::fs::write(&victim, &bytes).unwrap();
 
-    let server = Server::start_from_store(&dir, fast_cfg(backend)).unwrap();
+    let server = Server::start_from_store(&dir, fast_cfg()).unwrap();
     let h = health(&server);
     assert_eq!(h.generation, 1, "must roll back to the last good gen");
     assert_eq!(h.breaker_state, 0);
@@ -153,13 +138,7 @@ fn bitflip_rolls_back_then_good_reload_readvances_impl(backend: ServerBackend) {
 /// Acceptance: truncate the newest snapshot mid-file; same rollback.
 #[test]
 fn truncation_rolls_back() {
-    for backend in backends() {
-        truncation_rolls_back_impl(backend);
-    }
-}
-
-fn truncation_rolls_back_impl(backend: ServerBackend) {
-    let dir = temp_store(&format!("truncate-{backend}"));
+    let dir = temp_store("truncate");
     let store = SnapStore::open(&dir).unwrap();
     store.publish(&map(1)).unwrap();
     store.publish(&map(2)).unwrap();
@@ -168,7 +147,7 @@ fn truncation_rolls_back_impl(backend: ServerBackend) {
     let bytes = std::fs::read(&victim).unwrap();
     std::fs::write(&victim, &bytes[..bytes.len() / 3]).unwrap();
 
-    let server = Server::start_from_store(&dir, fast_cfg(backend)).unwrap();
+    let server = Server::start_from_store(&dir, fast_cfg()).unwrap();
     assert_eq!(health(&server).generation, 1);
     assert_serves_map(&server, &map(1));
     server.shutdown();
@@ -180,16 +159,10 @@ fn truncation_rolls_back_impl(backend: ServerBackend) {
 /// reload closes the breaker again.
 #[test]
 fn breaker_opens_pins_and_recovers() {
-    for backend in backends() {
-        breaker_opens_pins_and_recovers_impl(backend);
-    }
-}
-
-fn breaker_opens_pins_and_recovers_impl(backend: ServerBackend) {
-    let dir = temp_store(&format!("breaker-{backend}"));
+    let dir = temp_store("breaker");
     let store = SnapStore::open(&dir).unwrap();
     store.publish(&map(1)).unwrap();
-    let server = Server::start_from_store(&dir, fast_cfg(backend)).unwrap();
+    let server = Server::start_from_store(&dir, fast_cfg()).unwrap();
     let mut client = Client::connect(&server.local_addr()).unwrap();
 
     // Two failing reloads (threshold = 2) open the breaker.
@@ -236,17 +209,10 @@ fn breaker_opens_pins_and_recovers_impl(backend: ServerBackend) {
 /// the fields asserted here are the same ones BENCH_serve.json reports.
 #[test]
 fn stalled_connections_evicted_without_hurting_healthy_p99() {
-    for backend in backends() {
-        stalled_connections_evicted_without_hurting_healthy_p99_impl(backend);
-    }
-}
-
-fn stalled_connections_evicted_without_hurting_healthy_p99_impl(backend: ServerBackend) {
     let m = map(1);
     let server = Server::start(
         &m,
         ServeConfig {
-            backend,
             workers: 4,
             request_deadline: Duration::from_millis(300),
             ..ServeConfig::default()
@@ -273,7 +239,7 @@ fn stalled_connections_evicted_without_hurting_healthy_p99_impl(backend: ServerB
     assert_eq!(report.queries_error, 0, "healthy traffic must be clean");
     assert!(report.queries_ok > 0);
     // Healthy p99 stays far below the stall deadline: the stalled
-    // sockets did not capture the worker pool.
+    // sockets did not capture the loops.
     assert!(
         report.p99_us < 100_000,
         "healthy p99 degraded: {} us",
@@ -287,21 +253,8 @@ fn stalled_connections_evicted_without_hurting_healthy_p99_impl(backend: ServerB
 /// `Error` frame — never a hang, close, or lost healthy query.
 #[test]
 fn corrupt_frames_survive_under_load() {
-    for backend in backends() {
-        corrupt_frames_survive_under_load_impl(backend);
-    }
-}
-
-fn corrupt_frames_survive_under_load_impl(backend: ServerBackend) {
     let m = map(2);
-    let server = Server::start(
-        &m,
-        ServeConfig {
-            backend,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(&m, ServeConfig::default()).unwrap();
     let report = loadgen::run(
         server.local_addr(),
         &queries_for_map(&m),
@@ -324,21 +277,16 @@ fn corrupt_frames_survive_under_load_impl(backend: ServerBackend) {
     server.shutdown();
 }
 
-/// A hostile burst past the max-inflight cap is evicted with an Error
-/// frame, and the server remains available to the next connection.
+/// Hostile input past the frame limits — a burst past the max-inflight
+/// cap, or a length prefix past the frame cap — is evicted with an
+/// Error frame, and the server remains available to the next
+/// connection.
 #[test]
 fn pipelining_flood_is_evicted() {
-    for backend in backends() {
-        pipelining_flood_is_evicted_impl(backend);
-    }
-}
-
-fn pipelining_flood_is_evicted_impl(backend: ServerBackend) {
     let m = map(3);
     let server = Server::start(
         &m,
         ServeConfig {
-            backend,
             workers: 2,
             max_inflight: 1,
             ..ServeConfig::default()
@@ -353,22 +301,31 @@ fn pipelining_flood_is_evicted_impl(backend: ServerBackend) {
         burst.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         burst.extend_from_slice(&payload);
     }
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.write_all(&burst).unwrap();
-    stream.flush().unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    // Read until the server closes us; the goodbye must be a
-    // well-formed Error frame.
-    let mut saw_error = false;
-    while let Ok(Some(payload)) = read_frame(&mut stream, MAX_FRAME) {
-        if let Ok(Response::Error(_)) = Response::decode(&payload) {
-            saw_error = true;
+    // A length prefix no frame may carry; its payload never follows.
+    let oversize = u32::MAX.to_be_bytes().to_vec();
+    for (input, what) in [(burst, "inflight flood"), (oversize, "oversize prefix")] {
+        let before = server.stats().evicted_flood;
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(&input).unwrap();
+        stream.flush().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // Read until the server closes us; the goodbye must be a
+        // well-formed Error frame.
+        let mut goodbye = None;
+        while let Ok(Some(payload)) = read_frame(&mut stream, MAX_FRAME) {
+            if let Ok(Response::Error(reason)) = Response::decode(&payload) {
+                goodbye = Some(reason);
+            }
         }
+        assert_eq!(
+            goodbye.as_deref(),
+            Some("frame limits exceeded"),
+            "{what} eviction must say goodbye with an Error"
+        );
+        assert_eq!(server.stats().evicted_flood, before + 1, "{what}");
     }
-    assert!(saw_error, "flood eviction must say goodbye with an Error");
-    assert!(server.stats().evicted_flood >= 1);
 
     // The server is still fine for well-behaved clients.
     let mut client = Client::connect(&server.local_addr()).unwrap();
@@ -384,27 +341,14 @@ fn pipelining_flood_is_evicted_impl(backend: ServerBackend) {
 /// gets its answers before the close.
 #[test]
 fn shutdown_drains_inflight_frames() {
-    for backend in backends() {
-        shutdown_drains_inflight_frames_impl(backend);
-    }
-}
-
-fn shutdown_drains_inflight_frames_impl(backend: ServerBackend) {
     let m = map(4);
-    let server = Server::start(
-        &m,
-        ServeConfig {
-            backend,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start(&m, ServeConfig::default()).unwrap();
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     // Queue three requests, then immediately shut down.
     for _ in 0..3 {
         write_frame(&mut stream, &Request::Stats.encode()).unwrap();
     }
-    // Give the worker a moment to pick the connection up.
+    // Give the loop a moment to pick the connection up.
     std::thread::sleep(Duration::from_millis(100));
     let shutdown = std::thread::spawn(move || server.shutdown());
     stream
