@@ -51,20 +51,11 @@ use bdrmap_probe::{Checkpoint, CheckpointConfig, RunOptions};
 use bdrmap_serve::{answer, Request, Response};
 use bdrmap_types::integrity::crc32c;
 use bdrmap_types::wire::read_frame;
-use bdrmap_types::{addr, Addr, Asn, Prefix, Vfs, VfsBackend};
+use bdrmap_types::{addr, splitmix64, Addr, Asn, Prefix, Vfs, VfsBackend};
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-/// One splitmix64 step.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Aggregated outcome of one fuzzing run. CI asserts the two failure
 /// counters are zero.

@@ -255,11 +255,6 @@ impl InferredRelationships {
         self.neighbors_with(a, Relationship::Customer)
     }
 
-    /// All inferred peers of `a`.
-    pub fn peers_of(&self, a: Asn) -> Vec<Asn> {
-        self.neighbors_with(a, Relationship::Peer)
-    }
-
     fn neighbors_with(&self, a: Asn, role: Relationship) -> Vec<Asn> {
         self.rels
             .iter()

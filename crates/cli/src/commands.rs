@@ -6,7 +6,7 @@ use bdrmap_eval::report::TextTable;
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{Client, LoadgenConfig, Request, Response, ServeConfig, Server};
 use bdrmap_topo::TopoConfig;
-use bdrmap_types::{Asn, Prefix};
+use bdrmap_types::{splitmix64, Asn, Prefix};
 
 /// Resolve `--preset/--seed/--scale` into a generator config.
 pub fn preset(args: &Args) -> Result<TopoConfig, ArgError> {
@@ -1869,7 +1869,7 @@ fn call_retry(
 /// The report (stdout summary + `--json` artifact) is a pure function
 /// of `--seed`/`--fault-seed`: CI runs the same seed twice and diffs.
 pub fn chaos(args: &Args) -> Result<(), ArgError> {
-    use bdrmap_core::{snapshot, QueryIndex, SnapStore};
+    use bdrmap_core::{snapshot, ScanOracle, SnapStore};
     use bdrmap_serve::{answer, ChaosNetConfig, NetFaultBudget};
     use bdrmap_types::{ChaosFsConfig, ChaosVfs, FaultKind, FsFaultBudget, Vfs};
 
@@ -2194,7 +2194,7 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
         ));
     }
     let addr = server.local_addr();
-    let expected = QueryIndex::build(&map);
+    let expected = ScanOracle::new(&map);
     let reqs = sweep_requests(&map);
     let mut mismatches = 0u64;
     for req in &reqs {
@@ -2358,16 +2358,6 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
         net.split + net.reset + net.accept_delay + net.stall
     );
     Ok(())
-}
-
-/// One splitmix64 step, for the crash-kill schedule. Same mixer the
-/// fault injectors use, so one seed convention covers the harness.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Where the crash-kill schedule murders the watch loop within a pass.

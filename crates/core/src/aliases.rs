@@ -22,7 +22,7 @@
 use crate::input::{IpMapper, Mapping};
 use bdrmap_probe::{AliasVerdict, Prober, ProberShard, ShardBudget, Trace, TASK_BUCKETS};
 use bdrmap_types::wire::WireWriter;
-use bdrmap_types::{addr_bits, Addr};
+use bdrmap_types::{addr_bits, splitmix64, Addr};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 
@@ -88,12 +88,7 @@ pub struct AliasStats {
 /// later run replays the same virtual probe timeline (the byte-
 /// determinism the incremental engine's scoped re-testing relies on).
 pub fn task_id(kind: TaskKind, a: Addr, b: Addr) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+    let mix = |mut z: u64| splitmix64(&mut z);
     let ab = ((u32::from(a) as u64) << 32) | u32::from(b) as u64;
     mix(mix(kind as u64) ^ ab)
 }

@@ -1,12 +1,13 @@
 //! BDRM v4: the snapshot format, a flat layout that *is* the query
 //! index.
 //!
-//! The file serializes the derived structures a [`QueryIndex`] build
-//! produces — arenas and sorted side-tables — directly as fixed-width,
-//! little-endian records, so loading is read + verify + validate and a
-//! [`V3View`] answers queries straight from the file bytes, with
-//! nothing parsed or rebuilt. ([`V3View`] and [`encode_v3`] are named
-//! for v3, the version that introduced the flat layout.)
+//! The file holds a border map's query tables — arenas and sorted
+//! side-tables, which [`encode_v3`] derives from the map — as
+//! fixed-width, little-endian records, so loading is read + verify +
+//! validate and a [`V3View`] answers queries straight from the file
+//! bytes, with nothing parsed or rebuilt. ([`V3View`] and
+//! [`encode_v3`] are named for v3, the version that introduced the
+//! flat layout.)
 //!
 //! Layout (after the `"BDRM"` magic + big-endian `u16` version
 //! preamble, the body is entirely little-endian; every section is
@@ -45,7 +46,7 @@
 //! file whose checksums verify is trusted as written, because a writer
 //! able to seal CRCs could have encoded any map, and the structural
 //! pass checks what the read path relies on, not that the tables are
-//! the ones the builder would derive. (A re-sealed host entry can name
+//! the ones [`encode_v3`] would derive. (A re-sealed host entry can name
 //! a different owned router than the router table lists for that
 //! address, or a border entry a higher link id than the lowest.) What
 //! holds for every accepted file is that no query panics.
@@ -55,8 +56,7 @@
 //! the lowest router id (the first to claim it) keeps it. The serving
 //! layer's configured prefix-owner overlay stays out of the file and is
 //! rebuilt as a small side trie at view-open; a host entry outranks any
-//! overlay prefix, exactly as a router `/32` does in a merged heap
-//! build.
+//! overlay prefix, a `/32` included.
 //!
 //! Integrity and structure are validated once, at open, in two stages:
 //! [`verify_integrity`] checks magic, version, exact length, and every
@@ -66,9 +66,8 @@
 //! per-query access trusts nothing beyond plain slice indexing.
 
 use crate::output::{BorderMap, Heuristic, InferredLink, InferredRouter};
-use crate::query::{BorderAnswer, LinkRec, OwnerAnswer, QueryRead, RouterRec, TrieEntry};
+use crate::query::{BorderAnswer, LinkRec, OwnerAnswer, QueryRead, RouterRec};
 use crate::snapshot::SnapshotError;
-use crate::QueryIndex;
 use bdrmap_types::integrity::{crc32c, Crc32c};
 use bdrmap_types::{addr, addr_bits, Addr, Asn, Prefix, PrefixTrie};
 
@@ -240,31 +239,65 @@ pub fn seal(data: &mut [u8], lay: &Layout) {
     data[lay.total - CRC_BYTES..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Serialize a border map to the canonical v4 flat encoding. The
-/// derived tables come from the [`QueryIndex`] builder, so a v4 file is
-/// byte-for-byte the structure a from-scratch heap build would produce.
+/// Sort `(key, id)` pairs and keep the first, lowest-id pair per key.
+fn lowest_id_per_key(pairs: impl Iterator<Item = (u32, u32)>) -> Vec<(u32, u32)> {
+    let mut v: Vec<(u32, u32)> = pairs.collect();
+    v.sort_unstable();
+    v.dedup_by_key(|&mut (key, _)| key);
+    v
+}
+
+/// Serialize a border map to the canonical v4 flat encoding, deriving
+/// every table from the map:
+///
+/// - the address arena holds each router's `addrs` then `other_addrs`,
+///   in router order;
+/// - the link arena holds link ids sorted by `(far_as, id)`, and the
+///   neighbor index one range of it per distinct `far_as`;
+/// - the border index holds each link's near and far address, sorted,
+///   with the lowest link id per address;
+/// - the host index holds every interface of an owned router, sorted,
+///   with the lowest router id per address.
 pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
-    let idx = QueryIndex::build(map);
-    // The flat table keeps no dead rows: where an interface fronts
-    // several links, only the winning (lowest) link id is stored.
-    let mut border: Vec<(Addr, u32)> = idx.border_index.clone();
-    border.dedup_by_key(|&mut (a, _)| a);
-    // A build without a prefix layer holds only router `/32`s, already
-    // resolved to the first router claiming each address, and the
-    // trie's in-order walk yields them sorted by address.
-    let hosts: Vec<(Addr, u32)> = idx
-        .trie
+    let n_addrs: usize = map
+        .routers
         .iter()
-        .filter_map(|(p, entry)| match *entry {
-            TrieEntry::Router(r) => Some((p.network(), r)),
-            TrieEntry::Owner(_) => None,
-        })
+        .map(|r| r.addrs.len() + r.other_addrs.len())
+        .sum();
+    let mut link_arena: Vec<(u32, u32)> = (0..)
+        .zip(&map.links)
+        .map(|(id, l)| (l.far_as.0, id))
         .collect();
+    link_arena.sort_unstable();
+    let mut neighbors: Vec<(u32, u32, u32)> = Vec::new();
+    for (slot, &(asn, _)) in (0..).zip(&link_arena) {
+        match neighbors.last_mut() {
+            Some((last, _, end)) if *last == asn => *end += 1,
+            _ => neighbors.push((asn, slot, slot + 1)),
+        }
+    }
+    let border = lowest_id_per_key((0..).zip(&map.links).flat_map(|(id, l)| {
+        [l.near_addr, l.far_addr]
+            .into_iter()
+            .flatten()
+            .map(move |a| (addr_bits(a), id))
+    }));
+    let hosts = lowest_id_per_key(
+        (0..)
+            .zip(&map.routers)
+            .filter(|(_, r)| r.owner.is_some())
+            .flat_map(|(id, r)| {
+                r.addrs
+                    .iter()
+                    .chain(&r.other_addrs)
+                    .map(move |&a| (addr_bits(a), id))
+            }),
+    );
     let counts = [
         ("routers", map.routers.len()),
         ("links", map.links.len()),
-        ("addrs", idx.addr_arena.len()),
-        ("neighbors", idx.neighbor_index.len()),
+        ("addrs", n_addrs),
+        ("neighbors", neighbors.len()),
         ("border entries", border.len()),
         ("host entries", hosts.len()),
     ];
@@ -287,26 +320,30 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
         put32(o, 0); // reserved
     });
     section(&mut out, |o| {
-        for (router, rec) in map.routers.iter().zip(&idx.routers) {
-            put32(o, rec.owner.map(|a| a.0).unwrap_or(0));
-            o.push(rec.owner.is_some() as u8);
-            o.push(rec.heuristic.map(Heuristic::code).unwrap_or(NO_HEURISTIC));
-            o.push(rec.min_hop);
+        let mut addr_start = 0u32;
+        for r in &map.routers {
+            put32(o, r.owner.map(|a| a.0).unwrap_or(0));
+            o.push(r.owner.is_some() as u8);
+            o.push(r.heuristic.map(Heuristic::code).unwrap_or(NO_HEURISTIC));
+            o.push(r.min_hop);
             o.push(0);
-            put32(o, rec.addr_start);
-            put32(o, router.addrs.len() as u32);
-            put32(o, router.other_addrs.len() as u32);
+            put32(o, addr_start);
+            put32(o, r.addrs.len() as u32);
+            put32(o, r.other_addrs.len() as u32);
+            addr_start += (r.addrs.len() + r.other_addrs.len()) as u32;
         }
     });
     section(&mut out, |o| {
-        for &a in &idx.addr_arena {
-            put32(o, addr_bits(a));
+        for r in &map.routers {
+            for &a in r.addrs.iter().chain(&r.other_addrs) {
+                put32(o, addr_bits(a));
+            }
         }
     });
     section(&mut out, |o| {
-        for l in &idx.links {
-            put32(o, l.near);
-            put32(o, l.far.unwrap_or(0));
+        for l in &map.links {
+            put32(o, l.near as u32);
+            put32(o, l.far.unwrap_or(0) as u32);
             put32(o, l.far_as.0);
             put32(o, l.near_addr.map(addr_bits).unwrap_or(0));
             put32(o, l.far_addr.map(addr_bits).unwrap_or(0));
@@ -320,13 +357,13 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
         }
     });
     section(&mut out, |o| {
-        for &id in &idx.link_arena {
+        for &(_, id) in &link_arena {
             put32(o, id);
         }
     });
     section(&mut out, |o| {
-        for &(asn, start, end) in &idx.neighbor_index {
-            put32(o, asn.0);
+        for &(asn, start, end) in &neighbors {
+            put32(o, asn);
             put32(o, start);
             put32(o, end);
         }
@@ -334,7 +371,7 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
     for table in [&border, &hosts] {
         section(&mut out, |o| {
             for &(a, id) in table {
-                put32(o, addr_bits(a));
+                put32(o, a);
                 put32(o, id);
             }
         });
@@ -395,20 +432,21 @@ pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
 
 /// A zero-copy query index over verified v4 snapshot bytes.
 ///
-/// Answers byte-identically to a heap [`QueryIndex`] built from the
-/// same map (and the same prefix-owner overlay): the file carries the
-/// exact tables the builder produces, and the one-time validation pass
-/// at open makes every later access plain slice indexing.
+/// The one index bdrmapd serves. Over a file [`encode_v3`] wrote, it
+/// answers exactly as the [`ScanOracle`](crate::query::ScanOracle) over
+/// the encoded map and the same prefix-owner overlay does, and the
+/// one-time validation pass at open makes every later access plain
+/// slice indexing.
 pub struct V3View {
     data: Vec<u8>,
     lay: Layout,
     packets: u64,
     elapsed_ms: u64,
     /// Configured prefix-owner overlay, rebuilt per open; host entries
-    /// outrank it, exactly as router `/32`s do in a merged heap build.
+    /// outrank it.
     side: PrefixTrie<Asn>,
-    /// Side `/32` prefixes exactly shadowed by a host entry — one
-    /// merged-trie entry, not two, for stats parity with the heap build.
+    /// Side `/32` prefixes exactly shadowed by a host entry, which
+    /// [`QueryRead::num_prefixes`] counts once, not twice.
     shadowed: u32,
 }
 
@@ -562,7 +600,7 @@ pub fn validate_structure(data: &[u8], lay: &Layout) -> Result<Validated, Snapsh
         }
     }
 
-    // Host index: strictly ascending addresses (the builder keeps one
+    // Host index: strictly ascending addresses (the encoder keeps one
     // router per address), and every router in range *with an owner*,
     // so `owner_of` never meets an entry it could not answer from.
     let mut prev_addr: Option<u32> = None;
@@ -694,8 +732,7 @@ impl V3View {
 impl QueryRead for V3View {
     fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
         // A router's `/32` is the longest match there is, so it outranks
-        // every overlay prefix, a `/32` included, exactly as a Router
-        // entry replaces an Owner in a merged heap build.
+        // every overlay prefix, a `/32` included.
         if let Some(r) = self.host_router(a) {
             return Some(OwnerAnswer {
                 asn: self.router_rec(r)?.owner?,
@@ -775,8 +812,8 @@ impl QueryRead for V3View {
         self.lay.n_links as u32
     }
 
-    /// Merged trie entries (host `/32`s plus overlay prefixes, counting
-    /// a shadowed pair once) — the heap build's figure.
+    /// Distinct prefixes across the host `/32`s and the overlay: an
+    /// overlay `/32` a host entry shadows counts once.
     fn num_prefixes(&self) -> u32 {
         (self.lay.n_hosts + self.side.len()) as u32 - self.shadowed
     }

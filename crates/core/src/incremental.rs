@@ -786,7 +786,7 @@ mod tests {
     use super::*;
     use bdrmap_bgp::{AsGraph, CollectorView, InferredRelationships, OriginTable, RoutingOracle};
     use bdrmap_probe::{TraceHop, TraceStop};
-    use bdrmap_types::{addr, Relationship, RirRecord};
+    use bdrmap_types::{addr, splitmix64, Relationship, RirRecord};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -863,14 +863,6 @@ mod tests {
         }
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// A few addresses from each kind of space: VP, external, IXP,
     /// RIR-delegated but unrouted, and unrouted without a record.
     fn pool() -> Vec<Addr> {
@@ -893,11 +885,11 @@ mod tests {
     }
 
     fn random_trace(rng: &mut u64, dst: Addr, pool: &[Addr]) -> Trace {
-        let len = (splitmix(rng) % 9) as usize;
+        let len = (splitmix64(rng) % 9) as usize;
         let hops = (0..len)
             .map(|i| {
-                let roll = splitmix(rng) % 10;
-                let a = pool[(splitmix(rng) as usize) % pool.len()];
+                let roll = splitmix64(rng) % 10;
+                let a = pool[(splitmix64(rng) as usize) % pool.len()];
                 TraceHop {
                     ttl: i as u8 + 1,
                     addr: (roll != 0).then_some(a),
@@ -909,7 +901,7 @@ mod tests {
             .collect();
         Trace {
             dst,
-            target_as: Asn(3 + (splitmix(rng) % 2) as u32),
+            target_as: Asn(3 + (splitmix64(rng) % 2) as u32),
             hops,
             stop: TraceStop::GapLimit,
         }
@@ -939,9 +931,9 @@ mod tests {
             let mut eng = IncrementalEngine::new(BdrmapConfig::default(), 10_000);
             for _ in 0..25 {
                 let mut batch = Batch::default();
-                for _ in 0..(splitmix(&mut rng) % 4) {
-                    let dst = dsts[(splitmix(&mut rng) as usize) % dsts.len()];
-                    match (splitmix(&mut rng) % 4, eng.traces.get(&dst)) {
+                for _ in 0..(splitmix64(&mut rng) % 4) {
+                    let dst = dsts[(splitmix64(&mut rng) as usize) % dsts.len()];
+                    match (splitmix64(&mut rng) % 4, eng.traces.get(&dst)) {
                         (0, Some(held)) => {
                             let mut tr = held.clone();
                             tr.hops.truncate(tr.hops.len() / 2);

@@ -29,7 +29,6 @@
 //! truth.
 
 pub mod aliases;
-pub mod beyond;
 pub mod flat;
 pub mod graph;
 pub mod heuristics;
@@ -44,7 +43,6 @@ pub mod snapshot;
 pub mod snapstore;
 
 pub use aliases::{task_id, AliasConfig, AliasStats, TaskKind};
-pub use beyond::{far_links, FarLink};
 pub use flat::V3View;
 pub use incremental::{Batch, CachingProber, IncrementalEngine, PassReport};
 pub use input::{CacheStats, Input, Ip2As, Ip2AsCache, IpMapper, Mapping};
@@ -52,7 +50,7 @@ pub use journal::{Journal, JournalCheckpoint, JournalConfig, JournalError, Journ
 pub use merge::{merge_maps, MergedMap, Merger};
 pub use output::{BorderMap, Heuristic, InferredLink, InferredRouter};
 pub use pipeline::{run_stages, PipelineRun, StageReport};
-pub use query::{BorderAnswer, LinkRec, OwnerAnswer, QueryIndex, QueryRead, RouterRec};
+pub use query::{BorderAnswer, LinkRec, OwnerAnswer, QueryRead, RouterRec, ScanOracle};
 pub use snapstore::{LoadOutcome, Quarantined, SnapStore, StoreError};
 
 use bdrmap_probe::{run_traces, Prober, RunOptions, TraceCollection};

@@ -1,22 +1,21 @@
-//! The query model over a finished inference, and its heap builder.
+//! The query model over a finished inference, and its reference reader.
 //!
-//! [`QueryIndex`] turns a [`BorderMap`] into the tables a border map is
-//! queried through: flat, arena-backed router and link tables (indices
-//! instead of pointers, one allocation per table) under a
-//! longest-prefix-match trie over the owned address space. Router
-//! interfaces enter the trie as `/32` host entries; coarser prefix
-//! ownership (e.g. the BGP collector view's routed prefixes) can be
-//! layered underneath so any address in routed space resolves, with the
-//! observed routers winning as the most-specific match.
+//! A border map is queried through [`QueryRead`]: the owner of an
+//! address (longest match: an observed router's `/32` first, else a
+//! coarser prefix-owner overlay such as the collector view's routed
+//! prefixes), the border link behind an interface, the links to a
+//! neighbor, and the router and link rows. bdrmapd answers it from one
+//! index, the zero-copy [`V3View`](crate::flat::V3View) over snapshot
+//! bytes.
 //!
-//! bdrmapd does not serve from this heap index: it serves the zero-copy
-//! [`V3View`](crate::flat::V3View) over snapshot bytes. `QueryIndex`
-//! has two jobs. It builds the tables [`encode_v3`](crate::flat::encode_v3)
-//! lays out, and it is the reference the compat suites compare the view
-//! against through [`QueryRead`].
+//! [`ScanOracle`] answers the same contract by linear scans over the
+//! [`BorderMap`] itself and shares no code with the flat encoder. The
+//! compat, e2e and chaos suites compare the view against it, so they
+//! check the encoder's derived tables against an independent statement
+//! of the read rules.
 
-use crate::output::{BorderMap, Heuristic};
-use bdrmap_types::{Addr, Asn, Prefix, PrefixTrie};
+use crate::output::{BorderMap, Heuristic, InferredRouter};
+use bdrmap_types::{Addr, Asn, Prefix};
 
 /// A router row in the flat table. Interface addresses live in the
 /// shared arena, referenced by range.
@@ -49,15 +48,6 @@ pub struct LinkRec {
     pub heuristic: Heuristic,
 }
 
-/// What the trie stores: the most specific thing known about a prefix.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum TrieEntry {
-    /// A `/32` of an observed router with an inferred owner.
-    Router(u32),
-    /// A routed prefix with a known origin (no observed router).
-    Owner(Asn),
-}
-
 /// Answer to an owner-of-address query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OwnerAnswer {
@@ -88,143 +78,11 @@ pub struct BorderAnswer {
     pub heuristic: Heuristic,
 }
 
-/// The immutable query index. See the module docs for layout.
-///
-/// The fields are crate-visible so the flat codec ([`crate::flat`])
-/// can serialize exactly the structures this builder produces — a v4
-/// file is these tables, laid out as fixed-width records, with the
-/// trie's router `/32`s as a sorted host index.
-pub struct QueryIndex {
-    pub(crate) routers: Vec<RouterRec>,
-    pub(crate) addr_arena: Vec<Addr>,
-    pub(crate) links: Vec<LinkRec>,
-    /// Link ids grouped by neighbor AS, contiguous per neighbor.
-    pub(crate) link_arena: Vec<u32>,
-    /// Sorted `(neighbor, start, end)` ranges into `link_arena`.
-    pub(crate) neighbor_index: Vec<(Asn, u32, u32)>,
-    /// Sorted `(interface address, link id)` pairs covering both sides
-    /// of every link.
-    pub(crate) border_index: Vec<(Addr, u32)>,
-    pub(crate) trie: PrefixTrie<TrieEntry>,
-    pub(crate) prefix_owners: u32,
-}
-
-impl QueryIndex {
-    /// Build from a finished inference alone (router `/32`s only).
-    pub fn build(map: &BorderMap) -> QueryIndex {
-        Self::build_with_prefixes(map, std::iter::empty())
-    }
-
-    /// Build from a finished inference plus a coarser prefix-ownership
-    /// layer (typically the collector view's single-origin prefixes).
-    pub fn build_with_prefixes(
-        map: &BorderMap,
-        prefixes: impl IntoIterator<Item = (Prefix, Asn)>,
-    ) -> QueryIndex {
-        let mut trie = PrefixTrie::new();
-        let mut prefix_owners = 0u32;
-        for (p, asn) in prefixes {
-            if trie.insert(p, TrieEntry::Owner(asn)).is_none() {
-                prefix_owners += 1;
-            }
-        }
-        let mut routers = Vec::with_capacity(map.routers.len());
-        let mut addr_arena = Vec::new();
-        for (i, r) in map.routers.iter().enumerate() {
-            let addr_start = addr_arena.len() as u32;
-            addr_arena.extend_from_slice(&r.addrs);
-            addr_arena.extend_from_slice(&r.other_addrs);
-            routers.push(RouterRec {
-                owner: r.owner,
-                heuristic: r.heuristic,
-                min_hop: r.min_hop,
-                addr_start,
-                addr_end: addr_arena.len() as u32,
-            });
-            if r.owner.is_some() {
-                for &a in r.addrs.iter().chain(&r.other_addrs) {
-                    let host = Prefix::host(a);
-                    // First router to claim an address keeps it; a
-                    // router /32 always shadows a prefix-owner entry.
-                    match trie.get(host) {
-                        Some(TrieEntry::Router(_)) => {}
-                        _ => {
-                            trie.insert(host, TrieEntry::Router(i as u32));
-                        }
-                    }
-                }
-            }
-        }
-        let links: Vec<LinkRec> = map
-            .links
-            .iter()
-            .map(|l| LinkRec {
-                near: l.near as u32,
-                far: l.far.map(|f| f as u32),
-                far_as: l.far_as,
-                near_addr: l.near_addr,
-                far_addr: l.far_addr,
-                heuristic: l.heuristic,
-            })
-            .collect();
-        // Group link ids by neighbor into one arena.
-        let mut by_neighbor: Vec<(Asn, u32)> = links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.far_as, i as u32))
-            .collect();
-        by_neighbor.sort_unstable();
-        let mut link_arena = Vec::with_capacity(by_neighbor.len());
-        let mut neighbor_index: Vec<(Asn, u32, u32)> = Vec::new();
-        for (asn, link) in by_neighbor {
-            match neighbor_index.last_mut() {
-                Some((last, _, end)) if *last == asn => *end += 1,
-                _ => {
-                    let at = link_arena.len() as u32;
-                    neighbor_index.push((asn, at, at + 1));
-                }
-            }
-            link_arena.push(link);
-        }
-        let mut border_index: Vec<(Addr, u32)> = Vec::new();
-        for (i, l) in links.iter().enumerate() {
-            for a in [l.near_addr, l.far_addr].into_iter().flatten() {
-                border_index.push((a, i as u32));
-            }
-        }
-        border_index.sort_unstable();
-        border_index.dedup();
-        QueryIndex {
-            routers,
-            addr_arena,
-            links,
-            link_arena,
-            neighbor_index,
-            border_index,
-            trie,
-            prefix_owners,
-        }
-    }
-
-    fn border_answer(&self, link: u32) -> BorderAnswer {
-        let l = &self.links[link as usize];
-        BorderAnswer {
-            link,
-            near_router: l.near,
-            near_owner: self.routers[l.near as usize].owner,
-            far_as: l.far_as,
-            near_addr: l.near_addr,
-            far_addr: l.far_addr,
-            heuristic: l.heuristic,
-        }
-    }
-}
-
-/// The read contract both index implementations answer: the heap
-/// [`QueryIndex`] a builder produces and the zero-copy
-/// [`V3View`](crate::flat::V3View) over snapshot bytes. Both answer
-/// byte-identically over the same border map and prefix overlay — the
-/// compat suite pins that down.
+/// The read contract bdrmapd serves: implemented by the zero-copy
+/// [`V3View`](crate::flat::V3View) over snapshot bytes and by the
+/// [`ScanOracle`] over the map it was encoded from. Both answer
+/// identically over the same border map and prefix overlay; the compat
+/// suite pins that down.
 ///
 /// Methods that hand out id lists or address sets return owned values:
 /// a view reads unaligned little-endian records, so it cannot lend
@@ -249,98 +107,178 @@ pub trait QueryRead {
     fn num_routers(&self) -> u32;
     /// Number of links.
     fn num_links(&self) -> u32;
-    /// Number of trie entries (router `/32`s plus prefix owners).
+    /// Number of distinct prefixes `owner_of` answers from: owned-router
+    /// interface `/32`s plus overlay prefixes, a shared `/32` once.
     fn num_prefixes(&self) -> u32;
-    /// Number of coarse prefix-owner entries layered under the routers.
+    /// Number of distinct prefix-owner overlay entries.
     fn num_prefix_owners(&self) -> u32;
     /// Neighbor ASes with at least one link, ascending.
     fn neighbor_list(&self) -> Vec<Asn>;
 }
 
-impl QueryRead for QueryIndex {
-    fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
-        let (prefix, entry) = self.trie.lookup(a)?;
-        match *entry {
-            // Only owned routers enter the trie; an index that violates
-            // that answers a miss instead of panicking the read path.
-            TrieEntry::Router(r) => Some(OwnerAnswer {
-                asn: self.routers.get(r as usize)?.owner?,
-                prefix,
-                router: Some(r),
-            }),
-            TrieEntry::Owner(asn) => Some(OwnerAnswer {
-                asn,
-                prefix,
-                router: None,
-            }),
+/// The reference reader: answers [`QueryRead`] by linear scans over a
+/// [`BorderMap`] and an optional prefix-owner overlay, with no derived
+/// table. It states each read rule in its most direct form: the first
+/// owned router to list an address owns it, the lowest link id carrying
+/// an address answers for it, and a router's `/32` outranks every
+/// overlay prefix. Each answer costs a scan of the map, so it is an
+/// oracle for tests and the chaos harness, not an index to serve from.
+pub struct ScanOracle<'a> {
+    map: &'a BorderMap,
+    prefixes: Vec<(Prefix, Asn)>,
+}
+
+impl<'a> ScanOracle<'a> {
+    /// An oracle over `map` alone.
+    pub fn new(map: &'a BorderMap) -> ScanOracle<'a> {
+        Self::with_prefixes(map, std::iter::empty())
+    }
+
+    /// An oracle over `map` under a coarser prefix-ownership overlay.
+    /// Where the overlay lists a prefix twice, the later entry wins.
+    pub fn with_prefixes(
+        map: &'a BorderMap,
+        prefixes: impl IntoIterator<Item = (Prefix, Asn)>,
+    ) -> ScanOracle<'a> {
+        ScanOracle {
+            map,
+            prefixes: prefixes.into_iter().collect(),
         }
+    }
+
+    fn overlay_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.prefixes.iter().map(|&(p, _)| p)
+    }
+}
+
+/// Number of distinct prefixes in `prefixes`.
+fn distinct(prefixes: impl Iterator<Item = Prefix>) -> u32 {
+    let mut all: Vec<Prefix> = prefixes.collect();
+    all.sort_unstable();
+    all.dedup();
+    all.len() as u32
+}
+
+/// A router's interfaces in arena order: `addrs`, then `other_addrs`.
+fn interfaces(r: &InferredRouter) -> impl Iterator<Item = Addr> + '_ {
+    r.addrs.iter().chain(&r.other_addrs).copied()
+}
+
+impl QueryRead for ScanOracle<'_> {
+    fn owner_of(&self, a: Addr) -> Option<OwnerAnswer> {
+        let claim = (0..).zip(&self.map.routers).find_map(|(id, r)| {
+            let asn = r.owner?;
+            interfaces(r).any(|x| x == a).then_some((id, asn))
+        });
+        if let Some((router, asn)) = claim {
+            return Some(OwnerAnswer {
+                asn,
+                prefix: Prefix::host(a),
+                router: Some(router),
+            });
+        }
+        // `max_by_key` keeps the last of equal keys: the later entry of
+        // a repeated prefix.
+        let &(prefix, asn) = self
+            .prefixes
+            .iter()
+            .filter(|(p, _)| p.contains(a))
+            .max_by_key(|(p, _)| p.len())?;
+        Some(OwnerAnswer {
+            asn,
+            prefix,
+            router: None,
+        })
     }
 
     fn border_of(&self, a: Addr) -> Option<BorderAnswer> {
-        let at = self.border_index.partition_point(|&(b, _)| b < a);
-        let &(found, link) = self.border_index.get(at)?;
-        if found != a {
-            return None;
-        }
-        Some(self.border_answer(link))
+        let link = self
+            .map
+            .links
+            .iter()
+            .position(|l| l.near_addr == Some(a) || l.far_addr == Some(a))?;
+        self.link_answer(link as u32)
     }
 
     fn neighbor_links(&self, asn: Asn) -> Vec<u32> {
-        match self
-            .neighbor_index
-            .binary_search_by_key(&asn, |&(a, _, _)| a)
-        {
-            Ok(i) => {
-                let (_, start, end) = self.neighbor_index[i];
-                self.link_arena[start as usize..end as usize].to_vec()
-            }
-            Err(_) => Vec::new(),
-        }
+        (0..)
+            .zip(&self.map.links)
+            .filter(|(_, l)| l.far_as == asn)
+            .map(|(id, _)| id)
+            .collect()
     }
 
     fn link_answer(&self, id: u32) -> Option<BorderAnswer> {
-        if (id as usize) < self.links.len() {
-            Some(self.border_answer(id))
-        } else {
-            None
-        }
+        let l = self.map.links.get(id as usize)?;
+        Some(BorderAnswer {
+            link: id,
+            near_router: l.near as u32,
+            near_owner: self.map.routers.get(l.near)?.owner,
+            far_as: l.far_as,
+            near_addr: l.near_addr,
+            far_addr: l.far_addr,
+            heuristic: l.heuristic,
+        })
     }
 
     fn link_rec(&self, id: u32) -> Option<LinkRec> {
-        self.links.get(id as usize).copied()
+        let l = self.map.links.get(id as usize)?;
+        Some(LinkRec {
+            near: l.near as u32,
+            far: l.far.map(|f| f as u32),
+            far_as: l.far_as,
+            near_addr: l.near_addr,
+            far_addr: l.far_addr,
+            heuristic: l.heuristic,
+        })
     }
 
     fn router_info(&self, id: u32) -> Option<(RouterRec, Vec<Addr>)> {
-        let r = self.routers.get(id as usize)?;
-        let addrs = &self.addr_arena[r.addr_start as usize..r.addr_end as usize];
-        Some((*r, addrs.to_vec()))
+        let r = self.map.routers.get(id as usize)?;
+        let start: usize = self.map.routers[..id as usize]
+            .iter()
+            .map(|r| r.addrs.len() + r.other_addrs.len())
+            .sum();
+        let addrs: Vec<Addr> = interfaces(r).collect();
+        let rec = RouterRec {
+            owner: r.owner,
+            heuristic: r.heuristic,
+            min_hop: r.min_hop,
+            addr_start: start as u32,
+            addr_end: (start + addrs.len()) as u32,
+        };
+        Some((rec, addrs))
     }
 
     fn num_routers(&self) -> u32 {
-        self.routers.len() as u32
+        self.map.routers.len() as u32
     }
 
     fn num_links(&self) -> u32 {
-        self.links.len() as u32
+        self.map.links.len() as u32
     }
 
     fn num_prefixes(&self) -> u32 {
-        self.trie.len() as u32
+        let owned = self.map.routers.iter().filter(|r| r.owner.is_some());
+        let hosts = owned.flat_map(interfaces).map(Prefix::host);
+        distinct(self.overlay_prefixes().chain(hosts))
     }
 
     fn num_prefix_owners(&self) -> u32 {
-        self.prefix_owners
+        distinct(self.overlay_prefixes())
     }
 
     fn neighbor_list(&self) -> Vec<Asn> {
-        self.neighbor_index.iter().map(|&(a, _, _)| a).collect()
+        self.map.neighbors()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output::{InferredLink, InferredRouter};
+    use crate::flat::V3View;
+    use crate::output::InferredLink;
+    use crate::snapshot::encode_v3;
 
     fn a(s: &str) -> Addr {
         s.parse().unwrap()
@@ -402,67 +340,87 @@ mod tests {
         }
     }
 
+    /// Run `check` on the oracle and on a view over the encoded map,
+    /// both under the overlay `prefixes`; each gets its name as a tag.
+    fn on_both(prefixes: &[(Prefix, Asn)], check: impl Fn(&str, &dyn QueryRead)) {
+        let m = map();
+        let view = V3View::open(encode_v3(&m).unwrap(), prefixes.iter().copied()).unwrap();
+        let oracle = ScanOracle::with_prefixes(&m, prefixes.iter().copied());
+        check("oracle", &oracle);
+        check("view", &view);
+    }
+
     #[test]
     fn owner_prefers_router_over_prefix_layer() {
-        let idx = QueryIndex::build_with_prefixes(
-            &map(),
-            [("203.0.113.0/24".parse().unwrap(), Asn(999))],
-        );
-        // The observed router /32 shadows the routed prefix...
-        let got = idx.owner_of(a("203.0.113.1")).unwrap();
-        assert_eq!(got.asn, Asn(200));
-        assert_eq!(got.router, Some(1));
-        assert_eq!(got.prefix.len(), 32);
-        // ...but the rest of the prefix falls back to the origin.
-        let got = idx.owner_of(a("203.0.113.77")).unwrap();
-        assert_eq!(got.asn, Asn(999));
-        assert_eq!(got.router, None);
-        assert_eq!(got.prefix, "203.0.113.0/24".parse().unwrap());
-        assert_eq!(idx.num_prefix_owners(), 1);
+        let overlay = [("203.0.113.0/24".parse().unwrap(), Asn(999))];
+        on_both(&overlay, |tag, idx| {
+            // The observed router /32 shadows the routed prefix...
+            let got = idx.owner_of(a("203.0.113.1")).unwrap();
+            assert_eq!(got.asn, Asn(200), "{tag}");
+            assert_eq!(got.router, Some(1), "{tag}");
+            assert_eq!(got.prefix.len(), 32, "{tag}");
+            // ...but the rest of the prefix falls back to the origin.
+            let got = idx.owner_of(a("203.0.113.77")).unwrap();
+            assert_eq!(got.asn, Asn(999), "{tag}");
+            assert_eq!(got.router, None, "{tag}");
+            assert_eq!(got.prefix, "203.0.113.0/24".parse().unwrap(), "{tag}");
+            assert_eq!(idx.num_prefix_owners(), 1, "{tag}");
+        });
     }
 
     #[test]
     fn ownerless_routers_stay_out_of_the_trie() {
-        let idx = QueryIndex::build(&map());
-        assert_eq!(idx.owner_of(a("198.51.100.1")), None);
-        assert_eq!(idx.owner_of(a("8.8.8.8")), None);
-        // other_addrs of owned routers do resolve.
-        assert_eq!(idx.owner_of(a("203.0.113.9")).unwrap().asn, Asn(200));
+        on_both(&[], |tag, idx| {
+            assert_eq!(idx.owner_of(a("198.51.100.1")), None, "{tag}");
+            assert_eq!(idx.owner_of(a("8.8.8.8")), None, "{tag}");
+            // other_addrs of owned routers do resolve.
+            let other = idx.owner_of(a("203.0.113.9")).unwrap();
+            assert_eq!(other.asn, Asn(200), "{tag}");
+            assert_eq!(idx.num_prefixes(), 4, "{tag}: owned interfaces only");
+        });
     }
 
     #[test]
     fn border_lookup_covers_both_sides() {
-        let idx = QueryIndex::build(&map());
-        let near = idx.border_of(a("10.0.0.1")).unwrap();
-        assert_eq!(near.near_router, 0);
-        assert_eq!(near.near_owner, Some(Asn(100)));
-        assert_eq!(near.link, 0, "lowest link id wins for a shared iface");
-        let far = idx.border_of(a("203.0.113.5")).unwrap();
-        assert_eq!(far.far_as, Asn(200));
-        assert_eq!(far.heuristic, Heuristic::ThirdParty);
-        assert_eq!(idx.border_of(a("203.0.113.99")), None);
+        on_both(&[], |tag, idx| {
+            let near = idx.border_of(a("10.0.0.1")).unwrap();
+            assert_eq!(near.near_router, 0, "{tag}");
+            assert_eq!(near.near_owner, Some(Asn(100)), "{tag}");
+            assert_eq!(
+                near.link, 0,
+                "{tag}: lowest link id wins for a shared iface"
+            );
+            let far = idx.border_of(a("203.0.113.5")).unwrap();
+            assert_eq!(far.far_as, Asn(200), "{tag}");
+            assert_eq!(far.heuristic, Heuristic::ThirdParty, "{tag}");
+            assert_eq!(idx.border_of(a("203.0.113.99")), None, "{tag}");
+        });
     }
 
     #[test]
     fn neighbor_links_are_grouped() {
-        let idx = QueryIndex::build(&map());
-        assert_eq!(idx.neighbor_links(Asn(200)), vec![0, 2]);
-        assert_eq!(idx.neighbor_links(Asn(300)), vec![1]);
-        assert_eq!(idx.neighbor_links(Asn(400)), Vec::<u32>::new());
-        assert_eq!(idx.neighbor_list(), vec![Asn(200), Asn(300)]);
+        on_both(&[], |tag, idx| {
+            assert_eq!(idx.neighbor_links(Asn(200)), vec![0, 2], "{tag}");
+            assert_eq!(idx.neighbor_links(Asn(300)), vec![1], "{tag}");
+            assert_eq!(idx.neighbor_links(Asn(400)), Vec::<u32>::new(), "{tag}");
+            assert_eq!(idx.neighbor_list(), vec![Asn(200), Asn(300)], "{tag}");
+        });
     }
 
     #[test]
     fn flat_tables_expose_rows() {
-        let idx = QueryIndex::build(&map());
-        assert_eq!(idx.num_routers(), 3);
-        assert_eq!(idx.num_links(), 3);
-        let (rec, addrs) = idx.router_info(1).unwrap();
-        assert_eq!(rec.owner, Some(Asn(200)));
-        assert_eq!(addrs.len(), 3);
-        assert!(idx.router_info(9).is_none());
-        assert_eq!(idx.link_rec(2).unwrap().heuristic, Heuristic::ThirdParty);
-        assert!(idx.link_answer(9).is_none());
-        assert_eq!(idx.link_answer(1).unwrap().far_as, Asn(300));
+        on_both(&[], |tag, idx| {
+            assert_eq!(idx.num_routers(), 3, "{tag}");
+            assert_eq!(idx.num_links(), 3, "{tag}");
+            let (rec, addrs) = idx.router_info(1).unwrap();
+            assert_eq!(rec.owner, Some(Asn(200)), "{tag}");
+            assert_eq!(addrs.len(), 3, "{tag}");
+            assert_eq!((rec.addr_start, rec.addr_end), (1, 4), "{tag}");
+            assert!(idx.router_info(9).is_none(), "{tag}");
+            let rec = idx.link_rec(2).unwrap();
+            assert_eq!(rec.heuristic, Heuristic::ThirdParty, "{tag}");
+            assert!(idx.link_answer(9).is_none(), "{tag}");
+            assert_eq!(idx.link_answer(1).unwrap().far_as, Asn(300), "{tag}");
+        });
     }
 }

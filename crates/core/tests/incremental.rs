@@ -8,7 +8,7 @@ use bdrmap_core::{snapshot, Batch, BdrmapConfig, IncrementalEngine, Input};
 use bdrmap_dataplane::DataPlane;
 use bdrmap_probe::{run_traces, EngineConfig, ProbeEngine, RunOptions, Trace, TraceCollection};
 use bdrmap_topo::{generate, AsKind, Internet, TopoConfig};
-use bdrmap_types::Asn;
+use bdrmap_types::{splitmix64, Asn};
 use std::sync::Arc;
 
 /// Per-packet virtual pacing of `EngineConfig::default()` (100 pps).
@@ -68,14 +68,6 @@ fn shadow_bytes(
     snapshot::encode_v3(&bdrmap_core::run_stages(&engine, input, cfg, coll).map).unwrap()
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A "re-measured" trace to the same destination that saw one hop
 /// fewer — the replace case with genuinely different content.
 fn truncated(tr: &Trace) -> Trace {
@@ -115,7 +107,7 @@ fn incremental_matches_shadow_rebuild_under_random_interleavings() {
 
         for step in 2..=6 {
             let mut batch = Batch::default();
-            match splitmix(&mut rng) % 3 {
+            match splitmix64(&mut rng) % 3 {
                 // Add a couple of fresh destinations.
                 0 => {
                     let take = (pool.len() - next).min(2);
@@ -124,13 +116,13 @@ fn incremental_matches_shadow_rebuild_under_random_interleavings() {
                 }
                 // Replace a held trace with a truncated re-measurement.
                 1 if next > 0 => {
-                    let i = (splitmix(&mut rng) % next as u64) as usize;
+                    let i = (splitmix64(&mut rng) % next as u64) as usize;
                     batch.upserts = vec![truncated(&pool[i])];
                 }
                 // Retract a held destination (it may be re-added later
                 // via the add arm, which walks the pool front to back).
                 _ if next > 0 => {
-                    let i = (splitmix(&mut rng) % next as u64) as usize;
+                    let i = (splitmix64(&mut rng) % next as u64) as usize;
                     batch.retractions = vec![pool[i].dst];
                 }
                 _ => {}

@@ -1,8 +1,10 @@
 //! Snapshot compatibility: every query answer bdrmapd serves from the
-//! zero-copy [`V3View`] over BDRM v4 bytes is byte-identical to the
-//! heap [`QueryIndex`] oracle built from the same map — over a real
-//! pipeline-produced map and over crafted corner cases, with and
-//! without a prefix-owner overlay. The hostile half of the suite pins
+//! zero-copy [`V3View`] over BDRM v4 bytes equals the [`ScanOracle`]'s
+//! answer over the same map — over real pipeline-produced maps, crafted
+//! corner cases and random small maps, with and without a prefix-owner
+//! overlay. The oracle shares no code with the encoder, so these
+//! comparisons check the encoder's derived tables, and pinned digests
+//! hold its bytes fixed. The hostile half of the suite pins
 //! the reader's blast radius: truncation at every length and every
 //! single-bit flip (the version preamble included) are rejected with an
 //! error, never a panic, and a re-sealed file whose host index breaks
@@ -11,20 +13,24 @@
 
 use bdrmap_bgp::{CollectorView, InferredRelationships};
 use bdrmap_core::{
-    flat, snapshot, BorderMap, Heuristic, InferredLink, InferredRouter, Input, QueryIndex,
-    QueryRead, V3View,
+    flat, snapshot, BorderMap, Heuristic, InferredLink, InferredRouter, Input, QueryRead,
+    ScanOracle, V3View,
 };
 use bdrmap_dataplane::DataPlane;
 use bdrmap_probe::{run_traces, EngineConfig, ProbeEngine, RunOptions};
 use bdrmap_topo::{generate, AsKind, TopoConfig};
+use bdrmap_types::integrity::crc32c;
 use bdrmap_types::{addr, addr_bits, Asn, Prefix};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn a(s: &str) -> bdrmap_types::Addr {
     s.parse().unwrap()
 }
 
-/// A real border map out of the full pipeline over a tiny topology.
+/// A real border map out of the full pipeline over a tiny topology,
+/// probed at trace parallelism 1 so its bytes are a pure function of
+/// `seed` (parallel workers share one probe clock).
 fn pipeline_map(seed: u64) -> (BorderMap, Input) {
     let net = generate(&TopoConfig::tiny(seed));
     let dp = Arc::new(DataPlane::new(net));
@@ -54,9 +60,11 @@ fn pipeline_map(seed: u64) -> (BorderMap, Input) {
     let engine = ProbeEngine::new(Arc::clone(&dp), vp, EngineConfig::default());
     let targets = bdrmap_probe::target_blocks(&input.view, &input.vp_asns);
     let ip2as = input.ip2as_for_probing();
-    let coll = run_traces(&engine, &targets, RunOptions::default(), |x| {
-        ip2as.is_external(x)
-    });
+    let opts = RunOptions {
+        parallelism: 1,
+        ..RunOptions::default()
+    };
+    let coll = run_traces(&engine, &targets, opts, |x| ip2as.is_external(x));
     let map = bdrmap_core::run_stages(&engine, &input, &Default::default(), coll).map;
     (map, input)
 }
@@ -215,34 +223,133 @@ fn view_matches_the_heap_oracle_on_a_pipeline_map() {
     let over = overlay(&map);
     let bytes = snapshot::encode_v3(&map).unwrap();
 
-    let reference = QueryIndex::build_with_prefixes(&map, over.iter().copied());
+    let reference = ScanOracle::with_prefixes(&map, over.iter().copied());
     let view = V3View::open(bytes.clone(), over.iter().copied()).unwrap();
     assert_same_answers(&reference, &view, &map, "v3 view");
-    let bare = QueryIndex::build(&map);
+    let bare = ScanOracle::new(&map);
     let bare_view = V3View::open(bytes.clone(), std::iter::empty()).unwrap();
     assert_same_answers(&bare, &bare_view, &map, "bare v3 view");
-    // Decoding is lossless: an oracle built from the decoded map
-    // answers like the one built from the original.
+    // Decoding is lossless: the oracle over the decoded map answers
+    // like the one over the original.
     let decoded = snapshot::decode(&bytes).unwrap();
-    let heap = QueryIndex::build_with_prefixes(&decoded, over.iter().copied());
-    assert_same_answers(&reference, &heap, &map, "decoded heap");
+    let heap = ScanOracle::with_prefixes(&decoded, over.iter().copied());
+    assert_same_answers(&reference, &heap, &map, "decoded map");
 }
 
 #[test]
 fn view_matches_the_heap_oracle_on_the_crafted_map() {
     let map = crafted_map();
     let over = overlay(&map);
-    let reference = QueryIndex::build_with_prefixes(&map, over.iter().copied());
+    let reference = ScanOracle::with_prefixes(&map, over.iter().copied());
     let view = V3View::open(snapshot::encode_v3(&map).unwrap(), over.iter().copied()).unwrap();
     assert_same_answers(&reference, &view, &map, "crafted v3 view");
     // And with no overlay at all.
-    let bare = QueryIndex::build(&map);
+    let bare = ScanOracle::new(&map);
     let bare_view = V3View::open(snapshot::encode_v3(&map).unwrap(), std::iter::empty()).unwrap();
     assert_same_answers(&bare, &bare_view, &map, "crafted bare view");
     // Routers 0 and 1 both list 10.0.0.9: the lowest router id wins.
     for (tag, got) in [("oracle", &reference as &dyn QueryRead), ("view", &view)] {
         let owner = got.owner_of(a("10.0.0.9")).expect("a claimed address");
         assert_eq!((owner.router, owner.asn), (Some(0), Asn(100)), "{tag}");
+    }
+}
+
+/// Address `i` of a 16-address pool in 10.0.0.0/28: small enough that
+/// random routers and links share addresses.
+fn pooled(i: u32) -> bdrmap_types::Addr {
+    addr(0x0a00_0000 + i)
+}
+
+/// A small random border map over the pool, and a prefix-owner overlay
+/// for it. Addresses repeat across routers, within a router and across
+/// links; an owner draw of 0 leaves a router ownerless; a link may lack
+/// either address; the overlay holds random prefixes over the pool (a
+/// repeated prefix among them now and then) plus the `/32` of an owned
+/// router's interface, which its host entry shadows.
+fn arb_case() -> impl Strategy<Value = (BorderMap, Vec<(Prefix, Asn)>)> {
+    let ifaces = || prop::collection::vec(0u32..16, 0..4);
+    let router = (ifaces(), ifaces(), 0u32..3, 1u8..6).prop_map(|(addrs, other, owner, hop)| {
+        let owner = (owner > 0).then_some(Asn(100 * owner));
+        InferredRouter {
+            addrs: addrs.into_iter().map(pooled).collect(),
+            other_addrs: other.into_iter().map(pooled).collect(),
+            owner,
+            heuristic: owner.map(|_| Heuristic::OneNet),
+            min_hop: hop,
+        }
+    });
+    let lens = prop::sample::select(vec![32u8, 30, 28, 24, 12]);
+    let prefix = (0u32..16, lens, 1u32..4)
+        .prop_map(|(i, len, asn)| (Prefix::new(pooled(i), len), Asn(64_000 + asn)));
+    (
+        prop::collection::vec(router, 1..7),
+        prop::collection::vec(prefix, 0..5),
+    )
+        .prop_flat_map(|(routers, prefixes)| {
+            let n = routers.len();
+            let some_addr = || prop::option::of(0u32..16);
+            let heuristic = prop::sample::select(vec![
+                Heuristic::OneNet,
+                Heuristic::ThirdParty,
+                Heuristic::SilentNeighbor,
+            ]);
+            let link = (
+                0..n,
+                prop::option::of(0..n),
+                1u32..5,
+                some_addr(),
+                some_addr(),
+                heuristic,
+            );
+            (
+                Just(routers),
+                Just(prefixes),
+                prop::collection::vec(link, 0..8),
+            )
+        })
+        .prop_map(|(routers, mut prefixes, links)| {
+            let links = links
+                .into_iter()
+                .map(
+                    |(near, far, far_as, near_addr, far_addr, heuristic)| InferredLink {
+                        near,
+                        far,
+                        far_as: Asn(far_as),
+                        near_addr: near_addr.map(pooled),
+                        far_addr: far_addr.map(pooled),
+                        heuristic,
+                    },
+                )
+                .collect();
+            let owned = routers.iter().filter(|r| r.owner.is_some());
+            if let Some(&x) = owned
+                .flat_map(|r| r.addrs.iter().chain(&r.other_addrs))
+                .next()
+            {
+                prefixes.push((Prefix::host(x), Asn(65_000)));
+            }
+            let map = BorderMap {
+                routers,
+                links,
+                packets: 3,
+                elapsed_ms: 5,
+            };
+            (map, prefixes)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn view_matches_the_scan_oracle_on_random_maps(case in arb_case()) {
+        let (map, over) = case;
+        let bytes = snapshot::encode_v3(&map).unwrap();
+        let view = V3View::open(bytes.clone(), over.iter().copied()).unwrap();
+        let oracle = ScanOracle::with_prefixes(&map, over.iter().copied());
+        assert_same_answers(&oracle, &view, &map, "random map");
+        let bare = V3View::open(bytes, std::iter::empty()).unwrap();
+        assert_same_answers(&ScanOracle::new(&map), &bare, &map, "random map, no overlay");
     }
 }
 
@@ -264,7 +371,7 @@ fn lowest_link_id_wins_on_heap_and_view_paths() {
     // fronts only link 2 via its far side. Both read paths must hand
     // back the lowest link id for the shared interface.
     let map = crafted_map();
-    let heap = QueryIndex::build(&map);
+    let heap = ScanOracle::new(&map);
     let bytes = snapshot::encode_v3(&map).unwrap();
     let view = V3View::open(bytes.clone(), std::iter::empty()).unwrap();
     for (tag, got) in [
@@ -394,5 +501,21 @@ fn bad_host_entries_are_rejected_at_open() {
         );
         let decoded = std::panic::catch_unwind(|| snapshot::decode(&evil));
         assert!(matches!(decoded, Ok(Err(_))), "{what}: decode");
+    }
+}
+
+#[test]
+fn encoded_bytes_match_pinned_crcs() {
+    // The v4 encoding is canonical, so a map's bytes can be pinned: a
+    // change to how `encode_v3` derives or lays out its tables that
+    // moves any byte must update these digests on purpose.
+    let pins = [
+        ("crafted", crafted_map(), (0xaf20_0653, 334)),
+        ("pipeline 905", pipeline_map(905).0, (0x9dd6_4c19, 2522)),
+        ("pipeline 906", pipeline_map(906).0, (0xf4c3_53f4, 2866)),
+    ];
+    for (tag, map, pin) in pins {
+        let bytes = snapshot::encode_v3(&map).unwrap();
+        assert_eq!((crc32c(&bytes), bytes.len()), pin, "{tag}");
     }
 }

@@ -18,16 +18,7 @@
 //! the fault layer costs nothing and changes nothing when disabled.
 
 use crate::packet::Probe;
-use bdrmap_types::{LinkId, RouterId};
-
-/// One splitmix64 step — the mixer behind every fault draw.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use bdrmap_types::{splitmix64, LinkId, RouterId};
 
 /// Domain separators so draws for different fault kinds never collide.
 mod domain {

@@ -72,11 +72,3 @@ pub struct Response {
     /// consumes.
     pub rtt_us: u32,
 }
-
-impl RespKind {
-    /// True for the message types whose source address bdrmap trusts to
-    /// identify an inbound interface (§5.4: only time-exceeded).
-    pub fn is_time_exceeded(self) -> bool {
-        matches!(self, RespKind::TimeExceeded)
-    }
-}

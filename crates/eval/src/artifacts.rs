@@ -1,82 +1,5 @@
-//! Plot-ready artifacts: CSV emitters for every figure series.
-//!
-//! The benches and examples print the series inline; these writers
-//! produce the files a plotting pipeline would consume to redraw the
-//! paper's figures.
-
-use crate::insights::{Fig14, GeoRow, UtilityCurve};
-use std::fmt::Write as _;
-
-/// Figure 14 CDFs as CSV: `series,count,cum_fraction`.
-pub fn fig14_csv(f: &Fig14) -> String {
-    let mut out = String::from("series,count,cum_fraction\n");
-    for (name, d) in [("all_routers", &f.all), ("far_routers", &f.far)] {
-        let (routers, _) = d.cdfs();
-        for (x, y) in routers {
-            let _ = writeln!(out, "{name},{x},{y:.4}");
-        }
-    }
-    for (name, d) in [("all_next_hops", &f.all), ("far_next_hops", &f.far)] {
-        let (_, nh) = d.cdfs();
-        for (x, y) in nh {
-            let _ = writeln!(out, "{name},{x},{y:.4}");
-        }
-    }
-    out
-}
-
-/// Figure 15 curves as CSV: `network,asn,true_links,vps,cumulative`.
-pub fn fig15_csv(curves: &[UtilityCurve]) -> String {
-    let mut out = String::from("network,asn,true_links,vps,cumulative\n");
-    for c in curves {
-        for (k, v) in c.cumulative.iter().enumerate() {
-            let _ = writeln!(out, "{},{},{},{},{v}", c.name, c.asn.0, c.true_links, k + 1);
-        }
-    }
-    out
-}
-
-/// Figure 16 rows as CSV: `vp,vp_longitude,network,link_longitude`.
-pub fn fig16_csv(rows: &[GeoRow]) -> String {
-    let mut out = String::from("vp,vp_longitude,network,link_longitude\n");
-    for r in rows {
-        for (name, lons) in &r.links {
-            for l in lons {
-                let _ = writeln!(out, "{},{:.2},{name},{l:.2}", r.vp, r.vp_longitude);
-            }
-        }
-    }
-    out
-}
-
-/// A Table 1 as CSV: `row,cust,peer,prov,trace`.
-pub fn table1_csv(t: &crate::table1::Table1) -> String {
-    let mut out = String::from("row,cust,peer,prov,trace\n");
-    let _ = writeln!(
-        out,
-        "observed_bgp,{},{},{},",
-        t.observed_bgp[0], t.observed_bgp[1], t.observed_bgp[2]
-    );
-    let _ = writeln!(
-        out,
-        "observed_bdrmap,{},{},{},{}",
-        t.observed_bdrmap[0], t.observed_bdrmap[1], t.observed_bdrmap[2], t.observed_bdrmap[3]
-    );
-    let _ = writeln!(out, "coverage,{:.4},,,", t.coverage);
-    for (label, shares) in &t.rows {
-        let _ = writeln!(
-            out,
-            "\"{label}\",{:.4},{:.4},{:.4},{:.4}",
-            shares[0], shares[1], shares[2], shares[3]
-        );
-    }
-    let _ = writeln!(
-        out,
-        "neighbor_routers,{},{},{},{}",
-        t.neighbor_routers[0], t.neighbor_routers[1], t.neighbor_routers[2], t.neighbor_routers[3]
-    );
-    out
-}
+//! Artifact files: the atomic writer behind the chaos harnesses' CSV
+//! log and `--json` reports.
 
 /// Write a rendered artifact atomically (write-then-rename): a crashed
 /// or interrupted run never leaves a truncated CSV/JSON behind for the
@@ -100,40 +23,6 @@ pub fn write_artifact_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insights::{collect_vp_traces, fig14, fig15, fig16};
-    use crate::setup::Scenario;
-    use bdrmap_topo::TopoConfig;
-
-    #[test]
-    fn csv_artifacts_are_well_formed() {
-        let sc = Scenario::build("tiny", &TopoConfig::large_access_scaled(990, 0.03));
-        let per_vp = collect_vp_traces(&sc, 2);
-
-        let f14 = fig14(&sc, &per_vp);
-        let csv14 = fig14_csv(&f14);
-        assert!(csv14.starts_with("series,count,cum_fraction\n"));
-        assert!(csv14.lines().count() > 4);
-        // Every data line has exactly three fields.
-        for line in csv14.lines().skip(1) {
-            assert_eq!(line.split(',').count(), 3, "{line}");
-        }
-
-        let f15 = fig15(&sc, &per_vp);
-        let csv15 = fig15_csv(&f15);
-        assert!(csv15.lines().count() > f15.len() * 19);
-
-        let f16 = fig16(&sc, &per_vp);
-        let csv16 = fig16_csv(&f16);
-        for line in csv16.lines().skip(1) {
-            assert_eq!(line.split(',').count(), 4, "{line}");
-        }
-
-        let map = sc.run_vp(0, &bdrmap_core::BdrmapConfig::default());
-        let t = crate::table1::table1(&sc, &map);
-        let csvt = table1_csv(&t);
-        assert!(csvt.contains("observed_bdrmap"));
-        assert!(csvt.contains("coverage"));
-    }
 
     #[test]
     fn artifacts_are_written_atomically() {

@@ -80,13 +80,6 @@ impl Scenario {
         run_bdrmap(&engine, &self.input, cfg)
     }
 
-    /// Run bdrmap from every VP.
-    pub fn run_all_vps(&self, cfg: &BdrmapConfig) -> Vec<BorderMap> {
-        (0..self.net().vps.len())
-            .map(|i| self.run_vp(i, cfg))
-            .collect()
-    }
-
     /// Number of VPs available.
     pub fn num_vps(&self) -> usize {
         self.net().vps.len()

@@ -152,36 +152,6 @@ pub fn validate(net: &Internet, view_neighbors: &[Asn], map: &BorderMap) -> Vali
     v
 }
 
-/// Score the second-degree links extracted by [`bdrmap_core::far_links`]
-/// (the bdrmapIT direction): a far link is correct when the two inferred
-/// organisations are genuinely adjacent in ground truth. Accuracy is
-/// expected to sit *below* the first-border numbers — the paper's
-/// sampling-bias argument (§1) — and this function quantifies by how
-/// much.
-pub fn validate_far_links(net: &Internet, links: &[bdrmap_core::FarLink]) -> (usize, usize) {
-    let mut correct = 0;
-    for l in links {
-        let near_org = net.graph.org(l.near_as);
-        let far_org = net.graph.org(l.far_as);
-        let adjacent = net.interdomain_links().any(|pl| {
-            let owners: Vec<Asn> = pl
-                .ifaces
-                .iter()
-                .map(|i| net.routers[net.ifaces[i.index()].router.index()].owner)
-                .collect();
-            owners.iter().any(|&o| net.graph.org(o) == near_org)
-                && owners.iter().any(|&o| net.graph.org(o) == far_org)
-        }) || net.ixps.iter().any(|x| {
-            x.members.iter().any(|&m| net.graph.org(m) == near_org)
-                && x.members.iter().any(|&m| net.graph.org(m) == far_org)
-        });
-        if adjacent {
-            correct += 1;
-        }
-    }
-    (correct, links.len())
-}
-
 /// §5.6's IXP validation path: "we validated the interdomain links
 /// established via route servers at the three IXPs by using the
 /// IXP-published information on which ASes are present and the IP

@@ -53,11 +53,9 @@
 
 mod metrics;
 mod registry;
-mod window;
 
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
 pub use registry::{MetricKind, Registry};
-pub use window::{HistogramSnapshot, HistogramWindows};
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -19,17 +19,9 @@
 //! [`ChaosNet`] is the seeded server-side fault schedule the loops
 //! consult at every accept, received frame and response write.
 
+use bdrmap_types::splitmix64;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The splitmix64 step, the workspace's standard deterministic PRNG.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// How many injections of each server-side network fault a chaos run
 /// may perform. Mirrors [`bdrmap_types::FsFaultBudget`] on the socket

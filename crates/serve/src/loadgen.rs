@@ -29,6 +29,7 @@
 use crate::proto::{Request, Response};
 use crate::server::Client;
 use bdrmap_core::BorderMap;
+use bdrmap_types::splitmix64;
 use bdrmap_types::wire::{read_frame, write_frame, MAX_FRAME};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -36,16 +37,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One splitmix64 step — the mixer behind every corruption draw, so a
-/// run with the same seed replays the same hostile bytes.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Load-generator tunables.
 #[derive(Clone, Debug)]

@@ -664,10 +664,10 @@ pub(crate) fn handle(shared: &Shared, reader: &SwapReader<V3View>, req: Request)
 /// The pure data-plane answer for a query request against one index:
 /// exactly what a loop would serve, minus the transport. `None` for
 /// control-plane requests. Generic over [`QueryRead`], so the served
-/// [`V3View`] and the heap [`QueryIndex`](bdrmap_core::QueryIndex)
-/// reference go through the same code — the chaos harness and the
-/// compat suites compare live responses against the reference to prove
-/// no fault (or codec) ever corrupted an answer.
+/// [`V3View`] and the [`ScanOracle`](bdrmap_core::ScanOracle) go through
+/// the same code — `bdrmap chaos` and the serve e2e and chaos suites
+/// compare live responses against the oracle to prove no fault (or
+/// codec) ever corrupted an answer.
 pub fn answer<I: QueryRead>(idx: &I, req: &Request) -> Option<Response> {
     match req {
         Request::Owner(a) => Some(Response::Owner(idx.owner_of(*a))),

@@ -7,7 +7,7 @@
 //!    respawn — the server keeps answering correctly afterwards.
 //! 2. **No corrupted answers**: under seeded frame splitting and
 //!    mid-write resets, every query that completes returns exactly the
-//!    answer the in-process index computes. Faults may cost retries,
+//!    answer the scan oracle computes. Faults may cost retries,
 //!    never correctness.
 //! 3. **Determinism**: the same seed and the same client behaviour
 //!    inject the same fault counts, run to run.
@@ -15,7 +15,7 @@
 //! bdrmapd serves on Linux only.
 #![cfg(target_os = "linux")]
 
-use bdrmap_core::{BdrmapConfig, BorderMap, QueryIndex};
+use bdrmap_core::{BdrmapConfig, BorderMap, ScanOracle};
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{
     answer, ChaosNetConfig, Client, NetFaultBudget, Request, Response, ServeConfig, Server,
@@ -87,7 +87,7 @@ fn chaos_server(map: &BorderMap, chaos: ChaosNetConfig) -> Server {
 #[test]
 fn watchdog_restarts_crashed_components() {
     let map = infer(71);
-    let reference = QueryIndex::build(&map);
+    let reference = ScanOracle::new(&map);
     let server = chaos_server(
         &map,
         ChaosNetConfig {
@@ -131,12 +131,12 @@ fn watchdog_restarts_crashed_components() {
 }
 
 /// Under seeded splits, resets, delays, and stalls, every completed
-/// query matches the in-process index. Faults must actually have been
+/// query matches the scan oracle. Faults must actually have been
 /// injected for the test to mean anything.
 #[test]
 fn verified_sweep_under_socket_chaos() {
     let map = infer(72);
-    let reference = QueryIndex::build(&map);
+    let reference = ScanOracle::new(&map);
     let server = chaos_server(
         &map,
         ChaosNetConfig {

@@ -8,7 +8,7 @@
 //! queueing without bound. bdrmapd serves on Linux only.
 #![cfg(target_os = "linux")]
 
-use bdrmap_core::{snapshot, BdrmapConfig, BorderMap, QueryIndex, QueryRead};
+use bdrmap_core::{snapshot, BdrmapConfig, BorderMap, QueryRead, ScanOracle};
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{
     loadgen, queries_for_map, Client, LinkInfo, LoadgenConfig, Request, Response, ServeConfig,
@@ -36,12 +36,12 @@ fn start(map: &BorderMap, workers: usize, queue: usize) -> Server {
 }
 
 /// Acceptance: for every address/AS the map knows about, the served
-/// answer equals what the in-process index computes.
+/// answer equals what the scan oracle computes.
 #[test]
 fn serves_all_three_query_kinds_correctly() {
     let map = infer(61, 0);
     assert!(!map.links.is_empty(), "tiny scenario must infer links");
-    let reference = QueryIndex::build(&map);
+    let reference = ScanOracle::new(&map);
     let server = start(&map, 2, 16);
     let mut client = Client::connect(&server.local_addr()).unwrap();
 
@@ -155,8 +155,8 @@ fn hot_swap_under_load_loses_no_queries() {
     assert!(reload.round_trip_us > 0);
 
     // Post-swap, the daemon answers from the new snapshot: every owner
-    // answer matches an index built from map B, not map A.
-    let reference_b = QueryIndex::build(&map_b);
+    // answer matches the oracle over map B, not map A.
+    let reference_b = ScanOracle::new(&map_b);
     let mut client = Client::connect(&server.local_addr()).unwrap();
     for router in &map_b.routers {
         for &a in router.addrs.iter().chain(&router.other_addrs) {

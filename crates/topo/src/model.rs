@@ -407,16 +407,6 @@ impl Internet {
         out
     }
 
-    /// Great-circle-ish distance between two PoPs (degrees, flat-earth
-    /// approximation — only relative order matters for hot-potato).
-    pub fn pop_distance(&self, a: PopId, b: PopId) -> f64 {
-        let pa = &self.pops[a.index()];
-        let pb = &self.pops[b.index()];
-        let dx = pa.longitude - pb.longitude;
-        let dy = pa.latitude - pb.latitude;
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Info for one AS.
     pub fn as_info(&self, a: Asn) -> &AsInfo {
         &self.as_info[a.0 as usize]

@@ -44,3 +44,16 @@ pub fn addr(bits: u32) -> Addr {
 pub fn addr_bits(a: Addr) -> u32 {
     u32::from(a)
 }
+
+/// One splitmix64 step: advance `state` and return its next draw. The
+/// workspace's one seeded mixer, behind fault draws, chaos and crash
+/// schedules, load generation, fuzzing and alias task ids, so a seed
+/// names the same stream in every subsystem.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

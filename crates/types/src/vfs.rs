@@ -17,19 +17,10 @@
 //! what lets `bdrmap chaos` diff two same-seed runs.
 
 use crate::fsutil;
+use crate::splitmix64;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-/// One splitmix64 step — the same mixer the loadgen and fuzzer use, so
-/// every seeded subsystem in the repo shares one replay story.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The operations a durable-write path needs. Implementations must be
 /// safe to share across threads (the snapshot store is cloned into the

@@ -128,49 +128,6 @@ fn heuristic_mix_matches_paper_shape() {
 }
 
 #[test]
-fn far_links_extracted_with_reasonable_accuracy() {
-    // The bdrmapIT-direction extension: links between networks beyond
-    // the first border. Accuracy is allowed to be lower than at the
-    // first border (fewer constraints, §1 of the paper), but the
-    // extraction must produce real adjacencies far more often than not.
-    let sc = Scenario::build("tiny", &TopoConfig::tiny(108));
-    let engine = sc.engine(0);
-    let input = &sc.input;
-
-    let targets = bdrmap_probe::target_blocks(&input.view, &input.vp_asns);
-    let ip2as_probe = input.ip2as_for_probing();
-    let coll = bdrmap_probe::run_traces(
-        &engine,
-        &targets,
-        bdrmap_probe::RunOptions::default(),
-        |a| ip2as_probe.is_external(a),
-    );
-    let ip2as = input.ip2as_with_estimation(&coll.traces);
-    let alias = bdrmap::core::aliases::resolve(
-        &engine,
-        &coll.traces,
-        &ip2as,
-        &bdrmap::core::AliasConfig::default(),
-    );
-    let graph = bdrmap::core::graph::ObservedGraph::build(&coll.traces, &alias, &ip2as);
-    let map = bdrmap::core::heuristics::infer(&graph, input, &ip2as, coll);
-    let _ = engine.budget();
-
-    let far = bdrmap::core::far_links(
-        &graph,
-        |r| map.routers[r].owner,
-        |r| map.routers[r].heuristic,
-        &input.vp_asns,
-    );
-    assert!(!far.is_empty(), "a transit-rich world must show far links");
-    let (correct, total) = bdrmap::eval::validate::validate_far_links(sc.net(), &far);
-    assert!(
-        correct * 10 >= total * 7,
-        "far-link accuracy {correct}/{total}"
-    );
-}
-
-#[test]
 fn per_vp_validation_spread_is_tight() {
     // The paper evaluated three VPs inside the large access network and
     // found 97.0–98.9% correct from each: accuracy must not depend on
